@@ -40,13 +40,17 @@ func (r *result) flag(format string, args ...any) {
 }
 
 // Run lengths as shares of --seconds. Untraced: the nominal-rate phase,
-// then the rate ladder. Traced: an untraced and a traced phase at the
+// then the saturated phase. Traced: an untraced and a traced phase at the
 // nominal rate (their primary-op p50s give the tracing overhead); the
 // unloaded hop ladder runs after them and is not counted.
+//
+// satOverdraw is the saturated phase's schedule rate over the nominal
+// rate: far above what any workload's stack answers closed-loop.
 const (
-	mainShare     = 0.6
+	mainShare     = 0.65
 	untracedShare = 0.4
 	setupRepeats  = 3
+	satOverdraw   = 12
 )
 
 // primaryOp is the op each workload exists to measure.
@@ -102,19 +106,22 @@ func runWorkload(w *workload, seed int64, secs int, traced bool, outDir string) 
 	var layers *layerReport
 	if !traced {
 		mainDur := time.Duration(float64(total) * mainShare)
-		measured = runPhase(e.cli, schedule(w, seed, 2, w.Rate, mainDur), conns, mainDur)
-		sustained, ladder := climbLadder(e.cli, w, seed, measured, conns, total-mainDur)
+		measured = runPhase(e.cli, schedule(w, seed, 2, w.Rate, mainDur), conns)
+		satDur := total - mainDur
+		// Arrival times are ignored closed-loop; the schedule only has
+		// to hold more ops than the stack can answer in satDur.
+		sustained, sat := runSaturated(e.cli, schedule(w, seed, 10, w.Rate*satOverdraw, satDur), conns, satDur)
 		res.set("sustained_rps", sustained, "1/s")
-		res.Attempted += ladder.attempted
-		res.Failed += ladder.failed
+		res.Attempted += sat.attempted
+		res.Failed += sat.failed
 	} else {
 		uDur := time.Duration(float64(total) * untracedShare)
-		untraced := runPhase(e.cli, schedule(w, seed, 2, w.Rate, uDur), conns, uDur)
+		untraced := runPhase(e.cli, schedule(w, seed, 2, w.Rate, uDur), conns)
 		tDur := total - uDur
 		e.rec.take()
 		e.rec.on.Store(true)
 		tBefore := snapshot()
-		measured = runPhase(e.cli, schedule(w, seed, 3, w.Rate, tDur), conns, tDur)
+		measured = runPhase(e.cli, schedule(w, seed, 3, w.Rate, tDur), conns)
 		e.rec.on.Store(false)
 		tDelta := snapshot().sub(tBefore)
 		spans := e.rec.take()
@@ -139,11 +146,11 @@ func runWorkload(w *workload, seed int64, secs int, traced bool, outDir string) 
 	liveBytes, rawBytes := e.st.storeTotals()
 
 	// The generator shares the stack's CPUs, so it wakes late when they
-	// are busy; past a quarter of the latency limit, its lateness rather
-	// than the stack's could decide the ladder.
+	// are busy; past the workload's lag limit, its lateness rather than
+	// the stack's could decide the latencies.
 	lagP99 := percentile(measured.lag, 99)
-	if lagP99 > w.P99LimitMs/4 {
-		res.flag("loadgen: send lag p99 %.2f ms exceeds %.0f ms: the generator, not the stack, set the pace", lagP99, w.P99LimitMs/4)
+	if lagP99 > w.LagLimitMs {
+		res.flag("loadgen: send lag p99 %.2f ms exceeds %.0f ms: the generator, not the stack, set the pace", lagP99, w.LagLimitMs)
 	}
 	selfChecks(res, w, delta, layers)
 
@@ -182,43 +189,6 @@ func runWorkload(w *workload, seed int64, secs int, traced bool, outDir string) 
 	res.problems = e.chk.violations()
 	res.Correct = len(res.problems) == 0
 	return res, nil
-}
-
-// climbLadder finds the highest rung of the workload's ladder whose p99
-// meets the latency limit without a growing backlog. The nominal phase
-// just measured is one rung; the rest are visited by bisection so each
-// visited rung runs long enough to judge. It returns the achieved
-// throughput of the highest passing rung and the ladder's own counts.
-func climbLadder(c *client, w *workload, seed int64, nominal *phaseStats, conns int, budget time.Duration) (float64, *phaseStats) {
-	all := &phaseStats{}
-	rung := budget / ladderProbes
-	lo, hi := -1, len(w.Ladder) // highest known pass, lowest known fail
-	best := 0.0
-	if nominal.meetsLimit(w.P99LimitMs) {
-		lo, best = nominalRung, nominal.achieved
-	} else {
-		hi = nominalRung
-	}
-	var last *phaseStats
-	for probe := 0; probe < ladderProbes && hi-lo > 1; probe++ {
-		mid := (lo + hi) / 2
-		if lo < 0 {
-			mid = 0
-		}
-		rate := w.Rate * w.Ladder[mid]
-		last = runPhase(c, schedule(w, seed, 10+probe, rate, rung), conns, rung)
-		all.merge(last)
-		if last.meetsLimit(w.P99LimitMs) {
-			lo, best = mid, last.achieved
-		} else {
-			hi = mid
-		}
-	}
-	if lo < 0 && last != nil {
-		// Not even the lowest rung passes: report what it sustained.
-		best = last.achieved
-	}
-	return best, all
 }
 
 // selfChecks flags a run in which the workload stopped exercising the

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"avr/internal/store"
 )
@@ -132,5 +133,25 @@ func TestQuartilesMatchPythonExclusive(t *testing.T) {
 	q1, med, q3 := quartiles([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
 	if q1 != 2.75 || med != 5.5 || q3 != 8.25 {
 		t.Fatalf("quartiles = %v %v %v", q1, med, q3)
+	}
+}
+
+func TestWindowRateDropsOutlyingWindows(t *testing.T) {
+	// One op every 1 ms for 1 s, except one window that ran at half speed
+	// and one that stalled: the middle windows still read 1000 ops/s.
+	var ends []int64
+	for ns := int64(0); ns < 1e9; {
+		ends = append(ends, ns)
+		switch {
+		case ns >= 200e6 && ns < 300e6:
+			ns += 2e6
+		case ns >= 500e6 && ns < 600e6:
+			ns += 50e6
+		default:
+			ns += 1e6
+		}
+	}
+	if got := windowRate(ends, 0, time.Second); math.Abs(got-1000) > 1e-6 {
+		t.Fatalf("windowRate = %v, want 1000", got)
 	}
 }

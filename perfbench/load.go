@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,15 +12,11 @@ import (
 
 // phaseStats is what one open-loop phase measured.
 type phaseStats struct {
-	dur        time.Duration
 	attempted  int
 	failed     int
 	lat        [numOps][]float64 // ms from intended send time, in schedule order; +Inf when failed
-	all        []float64         // every op's latency, in schedule order
 	lag        []float64         // ms the sender woke late for ops it waited for
 	backlogMax int
-	achieved   float64       // completed ops per second of wall time
-	wall       time.Duration // from the first arrival to the last completion
 	wire, raw  int64
 	heapPeak   uint64
 }
@@ -27,14 +24,13 @@ type phaseStats struct {
 // runPhase drives ops open-loop: each op is due at its scheduled time,
 // at most conns are in flight, and latency runs from the due time, so a
 // stall charges every request queued behind it.
-func runPhase(c *client, ops []op, conns int, dur time.Duration) *phaseStats {
-	ps := &phaseStats{dur: dur, attempted: len(ops)}
+func runPhase(c *client, ops []op, conns int) *phaseStats {
+	ps := &phaseStats{attempted: len(ops)}
 	lat := make([]float64, len(ops)) // by schedule index; each written by one worker
 	var (
-		next    atomic.Int64
-		lastEnd atomic.Int64
-		wg      sync.WaitGroup
-		mu      sync.Mutex
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
 	)
 	t0 := now()
 	for w := 0; w < conns; w++ {
@@ -66,12 +62,6 @@ func runPhase(c *client, ops []op, conns int, dur time.Duration) *phaseStats {
 					failed++
 				}
 				lat[i] = ms
-				for {
-					le := lastEnd.Load()
-					if oc.done <= le || lastEnd.CompareAndSwap(le, oc.done) {
-						break
-					}
-				}
 			}
 			mu.Lock()
 			ps.lag = append(ps.lag, lags...)
@@ -114,10 +104,81 @@ func runPhase(c *client, ops []op, conns int, dur time.Duration) *phaseStats {
 	for i := range ops {
 		ps.lat[ops[i].kind] = append(ps.lat[ops[i].kind], lat[i])
 	}
-	ps.all = lat
-	ps.wall = max(time.Duration(lastEnd.Load()-t0), dur)
-	ps.achieved = float64(ps.attempted-ps.failed) / ps.wall.Seconds()
 	return ps
+}
+
+// runSaturated drives ops closed-loop: each of conns workers sends its
+// next op the moment the previous one is answered and checked, until
+// dur has passed. It returns the ops completed per second after the
+// first satWarmup (see windowRate) and the phase's counts. The warm-up
+// lets compaction and the GC pacer settle at the closed-loop write rate
+// before any window counts.
+func runSaturated(c *client, ops []op, conns int, dur time.Duration) (float64, *phaseStats) {
+	ps := &phaseStats{}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		ends []int64 // completion times of successful ops, ns from t0
+	)
+	t0 := now()
+	stop := t0 + int64(dur)
+	for w := 0; w < conns; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc scratch
+			var done []int64
+			attempted, failed := 0, 0
+			for now() < stop {
+				i := int(next.Add(1) - 1)
+				if i >= len(ops) {
+					break
+				}
+				attempted++
+				oc := c.do(&ops[i], now(), &sc)
+				if !oc.ok {
+					failed++
+					continue
+				}
+				done = append(done, oc.done-t0)
+			}
+			mu.Lock()
+			ends = append(ends, done...)
+			ps.attempted += attempted
+			ps.failed += failed
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	slices.Sort(ends)
+	return windowRate(ends, satWarmup, dur), ps
+}
+
+// windowRate cuts sorted completion times (ns from the phase start)
+// between from and to into satSlices equal windows and returns the mean
+// of their rates without the lowest and highest quarter, so a burst of
+// host noise or a GC storm drops out with its window. Each window's
+// rate is its completions over the time between its first and last one,
+// not a count over the window's length, so the figure is not quantised
+// to whole ops per window.
+func windowRate(ends []int64, from, to time.Duration) float64 {
+	window := int64(to-from) / satSlices
+	rates := make([]float64, satSlices)
+	for i := range rates {
+		lo, _ := slices.BinarySearch(ends, int64(from)+int64(i)*window)
+		hi, _ := slices.BinarySearch(ends, int64(from)+int64(i+1)*window)
+		if hi-lo >= 2 && ends[hi-1] > ends[lo] {
+			rates[i] = float64(hi-lo-1) / time.Duration(ends[hi-1]-ends[lo]).Seconds()
+		}
+	}
+	slices.Sort(rates)
+	mid := rates[satSlices/4 : satSlices-satSlices/4]
+	sum := 0.0
+	for _, r := range mid {
+		sum += r
+	}
+	return sum / float64(len(mid))
 }
 
 // heapInuse reads the runtime's in-use heap span bytes (HeapInuse)
@@ -146,30 +207,28 @@ func (a *phaseStats) merge(b *phaseStats) {
 	a.heapPeak = max(a.heapPeak, b.heapPeak)
 }
 
-// slices is how many consecutive slices a phase's samples are cut into
-// for the reported percentiles.
-const slices = 10
+// latSlices is how many consecutive slices a phase's latency samples
+// are cut into for the reported percentiles; satSlices is how many
+// windows a saturated phase's completions are counted in after its
+// first satWarmup.
+const (
+	latSlices = 10
+	satSlices = 10
+	satWarmup = 1500 * time.Millisecond
+)
 
 // slicedPercentile cuts time-ordered samples into consecutive slices and
 // returns the median of the slices' p-th percentiles: one burst of host
 // noise or a GC storm moves one slice, not the reported figure.
 func slicedPercentile(xs []float64, p float64) float64 {
-	if len(xs) < 10*slices {
+	if len(xs) < 10*latSlices {
 		return percentile(xs, p)
 	}
 	var per []float64
-	for i := 0; i < slices; i++ {
-		per = append(per, percentile(xs[i*len(xs)/slices:(i+1)*len(xs)/slices], p))
+	for i := 0; i < latSlices; i++ {
+		per = append(per, percentile(xs[i*len(xs)/latSlices:(i+1)*len(xs)/latSlices], p))
 	}
 	return percentile(per, 50)
-}
-
-// meetsLimit is the ladder's pass rule: nothing failed, the p99 over all
-// ops is within the limit, and the backlog did not grow: the last
-// request finished within 5 % of the phase's length after its last
-// arrival was due.
-func (a *phaseStats) meetsLimit(limitMs float64) bool {
-	return a.failed == 0 && slicedPercentile(a.all, 99) <= limitMs && a.wall <= a.dur+a.dur/20
 }
 
 // percentile returns the p-th percentile of xs by linear interpolation

@@ -100,12 +100,12 @@ func setUp(w *workload, keys []keyData, seed int64, dir string, traced bool, con
 	}
 	e := &env{st: st, rec: rec, chk: newChecker(keys, st.t1)}
 	e.cli = newClient(st.top, keys, e.chk, rec, conns)
-	if ps := runPhase(e.cli, everyKey(w, opPut, opMput), conns, 0); ps.failed > 0 {
+	if ps := runPhase(e.cli, everyKey(w, opPut, opMput), conns); ps.failed > 0 {
 		e.close()
 		return nil, fmt.Errorf("preload: %d of %d requests failed", ps.failed, ps.attempted)
 	}
-	warm := runPhase(e.cli, everyKey(w, opGet, opMget), conns, 0)
-	warm.merge(runPhase(e.cli, schedule(w, seed, 1, w.Rate, 500*time.Millisecond), conns, 500*time.Millisecond))
+	warm := runPhase(e.cli, everyKey(w, opGet, opMget), conns)
+	warm.merge(runPhase(e.cli, schedule(w, seed, 1, w.Rate, 500*time.Millisecond), conns))
 	if warm.failed > 0 {
 		e.close()
 		return nil, fmt.Errorf("warm-up: %d of %d requests failed", warm.failed, warm.attempted)
