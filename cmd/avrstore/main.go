@@ -169,17 +169,9 @@ func cmdPack(args []string) error {
 		}
 		var res store.PutResult
 		if *width == 32 {
-			vals, gerr := workloads.GenFloat32(e.Dist, e.Values, e.Seed)
-			if gerr != nil {
-				return gerr
-			}
-			res, err = s.Put32(e.Key, vals)
+			res, err = packKey(s, e, workloads.GenFloat32)
 		} else {
-			vals, gerr := workloads.GenFloat64(e.Dist, e.Values, e.Seed)
-			if gerr != nil {
-				return gerr
-			}
-			res, err = s.Put64(e.Key, vals)
+			res, err = packKey(s, e, workloads.GenFloat64)
 		}
 		if err != nil {
 			return err
@@ -304,10 +296,19 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
+// packKey stores e's regenerated vector.
+func packKey[T store.Float](s *store.Store, e manifestEntry, gen func(string, int, uint64) ([]T, error)) (store.PutResult, error) {
+	vals, err := gen(e.Dist, e.Values, e.Seed)
+	if err != nil {
+		return store.PutResult{}, err
+	}
+	return store.Put(s, e.Key, vals, nil)
+}
+
 // verifyEntry checks one key against its regenerated ground truth and
 // returns how many values were served.
 func verifyEntry(s *store.Store, width int, t1 float64, e manifestEntry, allowPartial bool) (int, error) {
-	v32, v64, w, err := s.Get(e.Key)
+	v32, v64, w, _, err := s.Get(e.Key, nil)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		return 0, err
@@ -400,11 +401,11 @@ func cmdQuery(args []string) error {
 	var res any
 	switch *op {
 	case "aggregate":
-		res, err = s.QueryAggregate(*key)
+		res, err = s.QueryAggregate(*key, nil)
 	case "filter":
-		res, err = s.QueryFilter(*key, *lo, *hi)
+		res, err = s.QueryFilter(*key, *lo, *hi, nil)
 	case "downsample":
-		res, err = s.QueryDownsample(*key)
+		res, err = s.QueryDownsample(*key, nil)
 	default:
 		return fmt.Errorf("query: bad -op %q: want aggregate, filter or downsample", *op)
 	}
@@ -498,7 +499,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 	}
 	tol := func(b float64) float64 { return b*(1+1e-9) + 1e-300 }
 
-	agg, err := s.QueryAggregate(e.Key)
+	agg, err := s.QueryAggregate(e.Key, nil)
 	if err != nil {
 		return err
 	}
@@ -526,7 +527,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 		if !(b[0] <= b[1]) {
 			continue
 		}
-		fr, err := s.QueryFilter(e.Key, b[0], b[1])
+		fr, err := s.QueryFilter(e.Key, b[0], b[1], nil)
 		if err != nil {
 			return err
 		}
@@ -542,7 +543,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 		}
 	}
 
-	ds, err := s.QueryDownsample(e.Key)
+	ds, err := s.QueryDownsample(e.Key, nil)
 	if err != nil {
 		return err
 	}

@@ -123,10 +123,10 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "mput body has no items")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -226,10 +226,10 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "mget body has no keys")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -415,10 +415,10 @@ func (ro *Router) handleKeys(w http.ResponseWriter, r *http.Request) {
 	sp := ro.tracer.Start()
 	defer ro.tracer.Finish("keys", sp)
 	sp.WriteID(w.Header())
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 
 	ft := sp.Begin()
 	keys, asked, failed := ro.fanKeys(r.Context(), inboundTraceID(r, sp))

@@ -67,10 +67,10 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -178,10 +178,10 @@ func (ro *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	ct := sp.Begin()
 	if ro.serveCached(w, key) {
 		sp.End(trace.StageCacheHit, ct)
@@ -203,10 +203,10 @@ func (ro *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -265,10 +265,10 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp.WriteID(w.Header())
 
 	if key := r.URL.Query().Get("key"); key != "" {
-		if !ro.admit(w, r, sp) {
+		if !ro.gate.Admit(w, r, sp) {
 			return
 		}
-		defer ro.release()
+		defer ro.gate.Release()
 		ro.proxyRead(w, r, sp, key, "/v1/store/query?"+r.URL.RawQuery, false)
 		return
 	}
@@ -278,10 +278,10 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"cluster-wide query supports op=aggregate only (got %q); filter and downsample need a key", op)
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	ft := sp.Begin()
@@ -410,10 +410,10 @@ func urlEscape(k string) string {
 func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	sp := ro.tracer.Start()
 	defer ro.tracer.Finish("stats", sp)
-	if !ro.admit(w, r, sp) {
+	if !ro.gate.Admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	results := make([]legResult, len(ro.nodes))
@@ -476,7 +476,7 @@ func (ro *Router) Stats() RouterStats {
 		UptimeSeconds: time.Since(ro.start).Seconds(),
 		Workers:       ro.cfg.Workers,
 		QueueDepth:    ro.cfg.QueueDepth,
-		Queued:        ro.queued.Load(),
+		Queued:        ro.gate.Queued(),
 		Requests:      obs.RouterRequests.Value(),
 		Shed:          obs.RouterShed.Value(),
 		Errors:        obs.RouterErrors.Value(),

@@ -3,10 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -14,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/readcache"
 	"avr/internal/trace"
@@ -126,9 +125,9 @@ type node struct {
 // Router shards store traffic across avrd nodes: consistent-hash
 // routing, replication-2 writes, read-any reads with replica fallback,
 // batched multi-key fan-out, and cluster-wide query scatter/merge. It
-// reuses the avrd admission pattern (bounded worker slots + queue,
-// 429/503 shedding) so a router in front of a slow fleet sheds instead
-// of queueing unboundedly.
+// shares avrd's admission layer (internal/admit: bounded worker slots +
+// queue, 429/503 shedding) so a router in front of a slow fleet sheds
+// instead of queueing unboundedly.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -137,8 +136,7 @@ type Router struct {
 	http   *http.Server
 	client *http.Client
 
-	slots    chan struct{}
-	queued   atomic.Int64
+	gate     *admit.Gate
 	draining atomic.Bool
 	start    time.Time
 
@@ -161,10 +159,11 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	ro := &Router{
-		cfg:   cfg,
-		ring:  NewRing(cfg.Topology),
-		mux:   http.NewServeMux(),
-		slots: make(chan struct{}, cfg.Workers),
+		cfg:  cfg,
+		ring: NewRing(cfg.Topology),
+		mux:  http.NewServeMux(),
+		gate: admit.New(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout, "router",
+			obs.RouterRequests, obs.RouterShed),
 		start: time.Now(),
 		client: &http.Client{
 			// Per-leg deadlines come from request contexts; the client
@@ -257,89 +256,12 @@ func (ro *Router) stopProber() {
 	}
 }
 
-// errQueueFull mirrors the avrd admission signal.
-var errQueueFull = errors.New("cluster: admission queue full")
-
-// acquire claims a worker slot (see internal/server: same bounded
-// worker/queue shedding pattern).
-func (ro *Router) acquire(ctx context.Context) error {
-	select {
-	case ro.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if ro.queued.Add(1) > int64(ro.cfg.QueueDepth) {
-		ro.queued.Add(-1)
-		return errQueueFull
-	}
-	defer ro.queued.Add(-1)
-	select {
-	case ro.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (ro *Router) release() { <-ro.slots }
-
-// admit runs the admission handshake; true means the caller holds a
-// slot and must ro.release().
-func (ro *Router) admit(w http.ResponseWriter, r *http.Request, sp *trace.Span) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), ro.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err := ro.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err == nil {
-		obs.RouterRequests.Add(1)
-		return true
-	}
-	obs.RouterShed.Add(1)
-	if errors.Is(err, errQueueFull) {
-		secs := ownRetryAfter(ro.queued.Load(), int64(ro.cfg.QueueDepth), ro.cfg.QueueTimeout)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		http.Error(w, "router queue full, retry later", http.StatusTooManyRequests)
-	} else {
-		http.Error(w, "timed out waiting for a router worker",
-			http.StatusServiceUnavailable)
-	}
-	return false
-}
-
-// ownRetryAfter sizes the router's own 429 hint from queue occupancy,
-// the same linear 1s→ceil(timeout) ramp avrd uses. Downstream-caused
-// 429s do NOT use this — they surface the max Retry-After the fleet
-// itself asked for (see mergeRetryAfter).
-func ownRetryAfter(queued, depth int64, timeout time.Duration) int {
-	maxSecs := int(math.Ceil(timeout.Seconds()))
-	if maxSecs < 1 {
-		maxSecs = 1
-	}
-	if depth <= 0 {
-		return maxSecs
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	if queued > depth {
-		queued = depth
-	}
-	secs := int(math.Ceil(timeout.Seconds() * float64(queued) / float64(depth)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxSecs {
-		secs = maxSecs
-	}
-	return secs
-}
-
 // mergeRetryAfter folds one downstream 429's Retry-After into the max
 // seen so far. A router fronting a shedding fleet must surface the
 // fleet's own backoff demand, not its (empty) queue's — otherwise a
 // herd told "retry in 1s" by the router hammers nodes that asked for
-// 4s. Unparsable or absent headers leave the running max unchanged;
+// 4s. The router's own queue-derived 429s come from internal/admit.
+// Unparsable or absent headers leave the running max unchanged;
 // the caller falls back to 1s if nothing parsed.
 func mergeRetryAfter(maxSecs int, h http.Header) int {
 	v := h.Get("Retry-After")

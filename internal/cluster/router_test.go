@@ -533,28 +533,6 @@ func TestProberEjectReadmit(t *testing.T) {
 	}
 }
 
-// TestOwnRetryAfter pins the router's own queue-derived hint.
-func TestOwnRetryAfter(t *testing.T) {
-	cases := []struct {
-		queued, depth int64
-		timeout       time.Duration
-		want          int
-	}{
-		{0, 32, 2 * time.Second, 1},
-		{16, 32, 2 * time.Second, 1},
-		{32, 32, 2 * time.Second, 2},
-		{64, 32, 2 * time.Second, 2}, // clamped to depth then ceil
-		{32, 32, 10 * time.Second, 10},
-		{0, 0, 2 * time.Second, 2}, // no queue: worst case
-	}
-	for _, c := range cases {
-		if got := ownRetryAfter(c.queued, c.depth, c.timeout); got != c.want {
-			t.Errorf("ownRetryAfter(%d,%d,%v) = %d, want %d",
-				c.queued, c.depth, c.timeout, got, c.want)
-		}
-	}
-}
-
 // TestTraceForwarding: the router forwards an inbound X-AVR-Trace to
 // the downstream leg and reports route/fanout stages on its response.
 func TestTraceForwarding(t *testing.T) {

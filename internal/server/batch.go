@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -95,27 +94,6 @@ func (s *Server) registerBatch() {
 	s.mux.HandleFunc("GET /v1/store/key", s.handleStoreKeys)
 }
 
-// acquireOr runs the admission handshake shared by the batch handlers:
-// true means the caller holds a worker slot and must s.release().
-func (s *Server) acquireOr(w http.ResponseWriter, r *http.Request, sp *trace.Span) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err == nil {
-		return true
-	}
-	if errors.Is(err, errQueueFull) {
-		s.shed(w)
-	} else {
-		obs.ServerShed.Add(1)
-		http.Error(w, "timed out waiting for a worker",
-			http.StatusServiceUnavailable)
-	}
-	return false
-}
-
 // handleStoreMput serves POST /v1/store/mput: many keys per round-trip,
 // per-key success/error reporting.
 func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
@@ -146,11 +124,10 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.acquireOr(w, r, sp) {
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	res := BatchPutResult{Results: make([]BatchPutItemResult, len(req.Items))}
 	var bytesIn int64
@@ -169,13 +146,7 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 			out.Error = "data length not a positive multiple of the value width"
 			continue
 		}
-		var pr store.PutResult
-		var perr error
-		if width == 32 {
-			pr, perr = s.cfg.Store.Put32Traced(it.Key, bytesToF32(it.Data), sp)
-		} else {
-			pr, perr = s.cfg.Store.Put64Traced(it.Key, bytesToF64(it.Data), sp)
-		}
+		pr, perr := putValues(s.cfg.Store, it.Key, width, it.Data, sp)
 		if perr != nil {
 			out.Error = perr.Error()
 			continue
@@ -215,18 +186,17 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.acquireOr(w, r, sp) {
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	res := BatchGetResult{Results: make([]BatchGetItemResult, len(req.Keys))}
 	var bytesOut int64
 	for i, key := range req.Keys {
 		out := &res.Results[i]
 		out.Key = key
-		v32, v64, width, gerr := s.cfg.Store.GetTraced(key, sp)
+		v32, v64, width, _, gerr := s.cfg.Store.Get(key, sp)
 		incomplete := errors.Is(gerr, store.ErrIncomplete)
 		if gerr != nil && !incomplete {
 			out.Error = gerr.Error()
@@ -236,11 +206,7 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 		out.OK = true
 		out.Width = width
 		out.Complete = !incomplete
-		if width == 32 {
-			out.Data = appendF32(make([]byte, 0, 4*len(v32)), v32)
-		} else {
-			out.Data = appendF64(make([]byte, 0, 8*len(v64)), v64)
-		}
+		out.Data = appendF64(appendF32(make([]byte, 0, 4*len(v32)+8*len(v64)), v32), v64)
 		bytesOut += int64(len(out.Data))
 	}
 	obs.ServerBytesOut.Add(bytesOut)

@@ -8,6 +8,10 @@ import (
 	"math"
 	"net/http"
 	"testing"
+	"time"
+
+	"avr/internal/obs"
+	"avr/internal/store"
 )
 
 // batchF32 serializes values for a batch item payload.
@@ -201,5 +205,37 @@ func TestReadyzReflectsStoreHealth(t *testing.T) {
 	resp, body = doReq(t, http.MethodGet, ts.URL+"/readyz", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with a closed store: %d %s, want 503", resp.StatusCode, body)
+	}
+}
+
+// TestMgetReadsThroughCache: mget serves keys through the store's read
+// cache, so once the first read's background fill lands, repeating the
+// mget counts cache hits.
+func TestMgetReadsThroughCache(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir(), CacheBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := testServer(t, Config{Store: st})
+	_, payload := f32Payload(t, "heat", 6000, 1)
+	if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/store/put?key=k", payload); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put: %d %s", resp.StatusCode, body)
+	}
+	mget, _ := json.Marshal(BatchGetRequest{Keys: []string{"k"}})
+	before := obs.CacheHits.Value()
+	for deadline := time.Now().Add(5 * time.Second); obs.CacheHits.Value() == before; {
+		if time.Now().After(deadline) {
+			t.Fatal("repeated mget never hit the read cache")
+		}
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/store/mget", mget)
+		var res BatchGetResult
+		if err := json.Unmarshal(body, &res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("mget: %d %s", resp.StatusCode, body)
+		}
+		if r := res.Results[0]; !r.OK || len(r.Data) != len(payload) {
+			t.Fatalf("mget result %+v", r)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/store"
 	"avr/internal/trace"
@@ -90,10 +91,8 @@ type Server struct {
 	mux  *http.ServeMux
 	http *http.Server
 
-	// slots is the worker semaphore: holding a token = executing.
-	slots chan struct{}
-	// queued counts requests waiting for a token; bounded by QueueDepth.
-	queued   atomic.Int64
+	// gate is the bounded worker/queue admission layer.
+	gate     *admit.Gate
 	draining atomic.Bool
 	start    time.Time
 
@@ -105,10 +104,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		pool:  NewCodecPool(),
-		mux:   http.NewServeMux(),
-		slots: make(chan struct{}, cfg.Workers),
+		cfg:  cfg,
+		pool: NewCodecPool(),
+		mux:  http.NewServeMux(),
+		gate: admit.New(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout, "codec",
+			obs.ServerRequests, obs.ServerShed),
 		start: time.Now(),
 	}
 	tcfg := trace.Config{SampleEvery: cfg.TraceSampleEvery}
@@ -152,78 +152,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // draining).
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
-// errQueueFull is sent as 429: the admission queue is at capacity.
-var errQueueFull = errors.New("server: admission queue full")
-
-// acquire claims a worker slot, waiting in the bounded admission queue
-// if none is free. It returns errQueueFull when the queue is at
-// capacity (shed immediately — this is the backpressure signal) and
-// ctx.Err() when the wait outlives the request. On nil return the
-// caller must release().
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		return errQueueFull
-	}
-	defer s.queued.Add(-1)
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *Server) release() { <-s.slots }
-
 // fail records and writes one error response.
 func fail(w http.ResponseWriter, code int, format string, args ...any) {
 	obs.ServerErrors.Add(1)
 	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// retryAfter sizes the 429 Retry-After hint from queue occupancy: the
-// hint scales linearly from 1s at an empty queue up to the configured
-// queue timeout (rounded up to whole seconds) at a full one, so a
-// lightly loaded server invites a fast retry while a saturated one
-// pushes the herd back the full wait it would have spent queueing
-// anyway.
-func retryAfter(queued, depth int64, timeout time.Duration) int {
-	maxSecs := int(math.Ceil(timeout.Seconds()))
-	if maxSecs < 1 {
-		maxSecs = 1
-	}
-	if depth <= 0 {
-		return maxSecs
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	if queued > depth {
-		queued = depth
-	}
-	secs := int(math.Ceil(timeout.Seconds() * float64(queued) / float64(depth)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxSecs {
-		secs = maxSecs
-	}
-	return secs
-}
-
-// shed writes the backpressure response: 429 plus the queue-derived
-// Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter) {
-	obs.ServerShed.Add(1)
-	secs := retryAfter(s.queued.Load(), int64(s.cfg.QueueDepth), s.cfg.QueueTimeout)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, "codec queue full, retry later", http.StatusTooManyRequests)
 }
 
 // parseT1 resolves the per-request error threshold: ?t1= in (0,1), or
@@ -288,23 +220,10 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err = s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a codec worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	pt := sp.Begin()
 	codec := s.pool.Get(t1)
@@ -364,23 +283,10 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err = s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a codec worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	// Decoding is threshold-independent; any pooled codec serves.
 	pt := sp.Begin()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -108,30 +107,12 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err = s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
-	var res store.PutResult
-	if width == 32 {
-		res, err = s.cfg.Store.Put32Traced(key, bytesToF32(body), sp)
-	} else {
-		res, err = s.cfg.Store.Put64Traced(key, bytesToF64(body), sp)
-	}
+	res, err := putValues(s.cfg.Store, key, width, body, sp)
 	if err != nil {
 		if errors.Is(err, store.ErrClosed) {
 			storeFail(w, err)
@@ -173,25 +154,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	aerr := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if aerr != nil {
-		if errors.Is(aerr, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
-	v32, v64, width, src, err := s.cfg.Store.GetCachedTraced(key, sp)
+	v32, v64, width, src, err := s.cfg.Store.Get(key, sp)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		storeFail(w, err)
@@ -204,20 +172,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	bufp := getBufPool.Get().(*[]byte)
 	defer getBufPool.Put(bufp)
-	var out []byte
-	var nvals int
-	if width == 32 {
-		out = appendF32((*bufp)[:0], v32)
-		nvals = len(v32)
-	} else {
-		out = appendF64((*bufp)[:0], v64)
-		nvals = len(v64)
-	}
+	out := appendF64(appendF32((*bufp)[:0], v32), v64) // one of the two is nil
 	*bufp = out
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-AVR-Width", strconv.Itoa(width))
-	w.Header().Set("X-AVR-Values", strconv.Itoa(nvals))
+	w.Header().Set("X-AVR-Values", strconv.Itoa(len(v32)+len(v64)))
 	w.Header().Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
 	sp.WriteHeaders(w.Header())
 	if incomplete {
@@ -232,6 +192,15 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.ServerBytesOut.Add(int64(len(out)))
 	observeLatency(time.Since(t0))
+}
+
+// putValues stores raw little-endian values of the given width under
+// key.
+func putValues(st *store.Store, key string, width int, raw []byte, sp *trace.Span) (store.PutResult, error) {
+	if width == 64 {
+		return store.Put(st, key, bytesToF64(raw), sp)
+	}
+	return store.Put(st, key, bytesToF32(raw), sp)
 }
 
 // appendF32/appendF64 serialize values onto a (pooled) byte buffer.
@@ -295,23 +264,10 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	if err := s.acquire(ctx); err != nil {
-		sp.End(trace.StageQueue, qt)
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.gate.Admit(w, r, sp) {
 		return
 	}
-	sp.End(trace.StageQueue, qt)
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	var (
 		res      any
@@ -321,15 +277,15 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	switch op {
 	case "aggregate":
 		var a store.AggregateResult
-		a, err = s.cfg.Store.QueryAggregateTraced(key, sp)
+		a, err = s.cfg.Store.QueryAggregate(key, sp)
 		res, complete = a, a.Complete
 	case "filter":
 		var f store.FilterResult
-		f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, sp)
+		f, err = s.cfg.Store.QueryFilter(key, lo, hi, sp)
 		res, complete = f, f.Complete
 	case "downsample":
 		var d store.DownsampleResult
-		d, err = s.cfg.Store.QueryDownsampleTraced(key, sp)
+		d, err = s.cfg.Store.QueryDownsample(key, sp)
 		res, complete = d, d.Complete
 	}
 	if err != nil {

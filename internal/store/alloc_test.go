@@ -20,7 +20,7 @@ func TestStorePutAllocFree(t *testing.T) {
 	if _, err := s.Put32("k32", v32); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put64("k64", v64); err != nil {
+	if _, err := Put(s, "k64", v64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
@@ -31,16 +31,16 @@ func TestStorePutAllocFree(t *testing.T) {
 		t.Errorf("Put32 allocates %v per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := s.Put64("k64", v64); err != nil {
+		if _, err := Put(s, "k64", v64, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 0 {
-		t.Errorf("Put64 allocates %v per op, want 0", avg)
+		t.Errorf("Put[float64] allocates %v per op, want 0", avg)
 	}
 }
 
-// TestStoreGetIntoAllocFree pins the read-path analog: Get32Into and
-// Get64Into with a reused destination allocate nothing once warm.
+// TestStoreGetIntoAllocFree pins the read-path analog: GetInto at both
+// widths with a reused destination allocates nothing once warm.
 func TestStoreGetIntoAllocFree(t *testing.T) {
 	s := openTest(t, Config{})
 	v32 := genF32(t, "heat", 4*BlockValues, 42)
@@ -48,27 +48,27 @@ func TestStoreGetIntoAllocFree(t *testing.T) {
 	if _, err := s.Put32("k32", v32); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put64("k64", v64); err != nil {
+	if _, err := Put(s, "k64", v64, nil); err != nil {
 		t.Fatal(err)
 	}
 	d32 := make([]float32, 0, len(v32))
 	d64 := make([]float64, 0, len(v64))
 	if avg := testing.AllocsPerRun(50, func() {
-		out, err := s.Get32Into(d32, "k32")
+		out, _, err := GetInto(s, d32, "k32", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d32 = out[:0]
 	}); avg > 0 {
-		t.Errorf("Get32Into allocates %v per op, want 0", avg)
+		t.Errorf("GetInto[float32] allocates %v per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		out, err := s.Get64Into(d64, "k64")
+		out, _, err := GetInto(s, d64, "k64", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d64 = out[:0]
 	}); avg > 0 {
-		t.Errorf("Get64Into allocates %v per op, want 0", avg)
+		t.Errorf("GetInto[float64] allocates %v per op, want 0", avg)
 	}
 }

@@ -76,15 +76,15 @@ func BenchmarkStorePut64(b *testing.B) {
 	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Put64("bench", vals); err != nil {
+		if _, err := Put(s, "bench", vals, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkStoreGet32 measures the read path — pread, CRC verify,
-// decode — through Get32Into with a reused destination, so the steady
-// state is allocation-free (Get32 itself allocates only the result).
+// decode — through GetInto with a reused destination, so the steady
+// state is allocation-free.
 func BenchmarkStoreGet32(b *testing.B) {
 	s := benchStore(b, Config{})
 	vals := benchVals32(b, "heat", 4*BlockValues)
@@ -95,7 +95,7 @@ func BenchmarkStoreGet32(b *testing.B) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Get32Into(dst, "bench")
+		out, _, err := GetInto(s, dst, "bench", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkCacheHitGet32(b *testing.B) {
 func BenchmarkCacheHitGet64(b *testing.B) {
 	s := benchStore(b, Config{CacheBytes: 64 << 20})
 	vals := benchVals64(b, "wave", 2*BlockValues)
-	if _, err := s.Put64("bench", vals); err != nil {
+	if _, err := Put(s, "bench", vals, nil); err != nil {
 		b.Fatal(err)
 	}
 	s.loadCacheLine("bench", false)
@@ -150,7 +150,7 @@ func BenchmarkCacheHitGet64(b *testing.B) {
 	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, src, err := s.Get64IntoCached(dst, "bench", nil)
+		out, src, err := GetInto(s, dst, "bench", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,14 +185,14 @@ func BenchmarkCacheLookup(b *testing.B) {
 func BenchmarkStoreGet64(b *testing.B) {
 	s := benchStore(b, Config{})
 	vals := benchVals64(b, "wave", 2*BlockValues)
-	if _, err := s.Put64("bench", vals); err != nil {
+	if _, err := Put(s, "bench", vals, nil); err != nil {
 		b.Fatal(err)
 	}
 	dst := make([]float64, 0, len(vals))
 	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Get64Into(dst, "bench")
+		out, _, err := GetInto(s, dst, "bench", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,12 +205,11 @@ func BenchmarkStoreGet64(b *testing.B) {
 func BenchmarkStoreScan(b *testing.B) {
 	img := segmentHeader()
 	data := benchVals32(b, "heat", BlockValues)
-	raw := f32ToRaw(data)
 	for i := 0; i < 64; i++ {
 		img = appendFrame(img, &record{
 			Kind: recordBlock, Seq: uint64(i + 1), Key: fmt.Sprintf("k%02d", i),
 			BlockIdx: 0, TotalVals: BlockValues, Width: 32, Enc: encLossless,
-			ValCount: BlockValues, T1: 1.0 / 32, Data: encodeLossless(raw),
+			ValCount: BlockValues, T1: 1.0 / 32, Data: appendLossless32(nil, data),
 		})
 	}
 	b.SetBytes(int64(len(img)))
@@ -239,7 +238,7 @@ func BenchmarkStoreQueryAggregate32(b *testing.B) {
 	var res AggregateResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = s.QueryAggregate("bench"); err != nil {
+		if res, err = s.QueryAggregate("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +249,7 @@ func BenchmarkStoreQueryAggregate32(b *testing.B) {
 func BenchmarkStoreQueryAggregate64(b *testing.B) {
 	s := benchStore(b, Config{})
 	vals := benchVals64(b, "wave", 2*BlockValues)
-	if _, err := s.Put64("bench", vals); err != nil {
+	if _, err := Put(s, "bench", vals, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(8 * len(vals)))
@@ -258,7 +257,7 @@ func BenchmarkStoreQueryAggregate64(b *testing.B) {
 	var res AggregateResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = s.QueryAggregate("bench"); err != nil {
+		if res, err = s.QueryAggregate("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +288,7 @@ func BenchmarkStoreQueryFilter32(b *testing.B) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryFilter("bench", lo, hi); err != nil {
+		if _, err := s.QueryFilter("bench", lo, hi, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,7 +305,7 @@ func BenchmarkStoreQueryDownsample32(b *testing.B) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryDownsample("bench"); err != nil {
+		if _, err := s.QueryDownsample("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,18 +2,14 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 	"unsafe"
 
 	"avr/internal/block"
 	"avr/internal/compress"
-	"avr/internal/obs"
-	"avr/internal/trace"
 )
 
 // Read cache: the store-side mount of internal/readcache. The unit of
@@ -427,191 +423,6 @@ func (s *Store) serve64FromLine(dst []float64, ln *cachedLine) []float64 {
 		p += take
 	}
 	return dst
-}
-
-// tryCacheHit32 serves key from a seq-validated resident line. Caller
-// holds the read lock and has resolved e for key. Returns ok=false on a
-// miss (after requesting an async fill) or when the cache is off; on a
-// hit err is ErrIncomplete when the line covers only a torn-put prefix.
-func (s *Store) tryCacheHit32(dst []float32, key string, e *entry, sp *trace.Span, t0 time.Time) (out []float32, src CacheSource, err error, ok bool) {
-	if s.cache == nil {
-		return dst, CacheNone, nil, false
-	}
-	s.cache.Observe(key)
-	if ent, hit := s.cache.Get(key); hit {
-		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == 32 {
-			ct := sp.Begin()
-			dst = s.serve32FromLine(dst, ln)
-			sp.End(trace.StageCacheHit, ct)
-			src = CacheHit
-			if ent.ConsumePrefetched() {
-				obs.PrefetchUseful.Add(1)
-				src = CachePrefetch
-			}
-			s.finishCacheHit(t0, 4*int64(ln.nvals))
-			if !ln.complete {
-				err = ErrIncomplete
-			}
-			return dst, src, err, true
-		}
-		// Stale (superseded seq or recompressed): unservable, drop it.
-		s.cache.Invalidate(key)
-	}
-	obs.CacheMisses.Add(1)
-	s.cache.RequestFill(key)
-	return dst, CacheMiss, nil, false
-}
-
-// tryCacheHit64 is tryCacheHit32 for fp64 reads.
-func (s *Store) tryCacheHit64(dst []float64, key string, e *entry, sp *trace.Span, t0 time.Time) (out []float64, src CacheSource, err error, ok bool) {
-	if s.cache == nil {
-		return dst, CacheNone, nil, false
-	}
-	s.cache.Observe(key)
-	if ent, hit := s.cache.Get(key); hit {
-		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == 64 {
-			ct := sp.Begin()
-			dst = s.serve64FromLine(dst, ln)
-			sp.End(trace.StageCacheHit, ct)
-			src = CacheHit
-			if ent.ConsumePrefetched() {
-				obs.PrefetchUseful.Add(1)
-				src = CachePrefetch
-			}
-			s.finishCacheHit(t0, 8*int64(ln.nvals))
-			if !ln.complete {
-				err = ErrIncomplete
-			}
-			return dst, src, err, true
-		}
-		s.cache.Invalidate(key)
-	}
-	obs.CacheMisses.Add(1)
-	s.cache.RequestFill(key)
-	return dst, CacheMiss, nil, false
-}
-
-// Get32IntoCached is Get32IntoTraced, reporting how the read was served
-// (for the X-AVR-Cache header). On a cache hit the vector reconstructs
-// from the resident summary line — SIMD interpolate plus the vectorized
-// fixed→float sweep straight into dst — with no segment read; on a miss
-// it takes the disk path and an async fill is queued for next time.
-func (s *Store) Get32IntoCached(dst []float32, key string, sp *trace.Span) ([]float32, CacheSource, error) {
-	t0 := time.Now()
-	lt := sp.Begin()
-	s.mu.RLock()
-	sp.End(trace.StageLock, lt)
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, CacheNone, ErrNotFound
-	}
-	if e.width != 32 {
-		return nil, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
-	}
-	if out, src, err, hit := s.tryCacheHit32(dst, key, e, sp, t0); hit {
-		return out, src, err
-	} else {
-		src32 := src
-		base := len(dst)
-		dst, complete, derr := s.read32Locked(dst, key, e, sp)
-		if derr != nil {
-			return nil, src32, derr
-		}
-		obs.StoreGets.Add(1)
-		obs.StoreGetBytes.Add(4 * int64(len(dst)-base))
-		lat := float64(time.Since(t0).Microseconds())
-		getLatencyHist.Observe(lat)
-		if src32 == CacheMiss {
-			cacheMissHist.Observe(lat)
-		}
-		if !complete {
-			return dst, src32, ErrIncomplete
-		}
-		return dst, src32, nil
-	}
-}
-
-// Get64IntoCached is Get32IntoCached for fp64 vectors.
-func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]float64, CacheSource, error) {
-	t0 := time.Now()
-	lt := sp.Begin()
-	s.mu.RLock()
-	sp.End(trace.StageLock, lt)
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, CacheNone, ErrNotFound
-	}
-	if e.width != 64 {
-		return nil, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
-	}
-	if out, src, err, hit := s.tryCacheHit64(dst, key, e, sp, t0); hit {
-		return out, src, err
-	} else {
-		src64 := src
-		base := len(dst)
-		dst, complete, derr := s.read64Locked(dst, key, e, sp)
-		if derr != nil {
-			return nil, src64, derr
-		}
-		obs.StoreGets.Add(1)
-		obs.StoreGetBytes.Add(8 * int64(len(dst)-base))
-		lat := float64(time.Since(t0).Microseconds())
-		getLatencyHist.Observe(lat)
-		if src64 == CacheMiss {
-			cacheMissHist.Observe(lat)
-		}
-		if !complete {
-			return dst, src64, ErrIncomplete
-		}
-		return dst, src64, nil
-	}
-}
-
-// GetCachedTraced is GetTraced through the read cache: exactly one of
-// the two returned slices is non-nil, src reports how the read was
-// served. The width peek and the typed read take the lock separately; a
-// concurrent rewrite to the other width between them surfaces as
-// ErrWidth, the same answer a freshly-typed caller would get.
-func (s *Store) GetCachedTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, src CacheSource, err error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, nil, 0, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, nil, 0, CacheNone, ErrNotFound
-	}
-	w := int(e.width)
-	s.mu.RUnlock()
-	if w == 32 {
-		vals32, src, err = s.Get32IntoCached(nil, key, sp)
-	} else {
-		vals64, src, err = s.Get64IntoCached(nil, key, sp)
-	}
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, nil, 0, src, err
-	}
-	return vals32, vals64, w, src, err
-}
-
-// finishCacheHit does the shared hit accounting.
-func (s *Store) finishCacheHit(t0 time.Time, rawBytes int64) {
-	obs.CacheHits.Add(1)
-	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(rawBytes)
-	lat := float64(time.Since(t0).Microseconds())
-	getLatencyHist.Observe(lat)
-	cacheHitHist.Observe(lat)
 }
 
 // invalidateCacheLocked drops key's resident line after a write-path

@@ -25,80 +25,65 @@ func warmCache(t *testing.T, s *Store, key string) {
 // TestCacheHitByteIdentical is the tentpole correctness bar: for every
 // workload generator the repo ships, at both widths and at awkward
 // sizes, a cache-hit reconstruction is byte-identical to the disk
-// decode path. The disk reference comes from Get (GetTraced never
-// consults the cache); the hit from Get32IntoCached/Get64IntoCached
-// after a synchronous warm.
+// decode path. The disk reference comes from a cache-off store that
+// received the same puts; the hit from GetInto after a synchronous warm.
 func TestCacheHitByteIdentical(t *testing.T) {
 	dists := workloads.Distributions()
 	if len(dists) == 0 {
 		t.Fatal("no workload distributions registered")
 	}
-	sizes := []int{17, BlockValues, BlockValues + 1, 3*BlockValues + 511}
-
 	for _, dist := range dists {
-		for _, width := range []int{32, 64} {
-			t.Run(fmt.Sprintf("%s/fp%d", dist, width), func(t *testing.T) {
-				s := openTest(t, Config{SegmentTargetBytes: 1 << 20, CacheBytes: 32 << 20})
-				for si, n := range sizes {
-					key := fmt.Sprintf("%s-%d", dist, n)
-					seed := uint64(si)*1000 + 7
-					if width == 32 {
-						vals := genF32(t, dist, n, seed)
-						if _, err := s.Put32(key, vals); err != nil {
-							t.Fatal(err)
-						}
-						want, _, _, err := s.Get(key)
-						if err != nil {
-							t.Fatal(err)
-						}
-						warmCache(t, s, key)
-						got, src, err := s.Get32IntoCached(nil, key, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if src != CacheHit {
-							t.Fatalf("warmed read served as %q, want hit", src)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("hit returned %d values, disk %d", len(got), len(want))
-						}
-						for i := range got {
-							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-								t.Fatalf("%s[%d]: hit %x disk %x — not byte-identical",
-									key, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-							}
-						}
-					} else {
-						vals := genF64(t, dist, n, seed)
-						if _, err := s.Put64(key, vals); err != nil {
-							t.Fatal(err)
-						}
-						_, want, _, err := s.Get(key)
-						if err != nil {
-							t.Fatal(err)
-						}
-						warmCache(t, s, key)
-						got, src, err := s.Get64IntoCached(nil, key, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if src != CacheHit {
-							t.Fatalf("warmed read served as %q, want hit", src)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("hit returned %d values, disk %d", len(got), len(want))
-						}
-						for i := range got {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("%s[%d]: hit %x disk %x — not byte-identical",
-									key, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-							}
-						}
-					}
-				}
-			})
+		t.Run(dist+"/fp32", func(t *testing.T) {
+			checkHitByteIdentical(t, dist, func(n int, seed uint64) []float32 { return genF32(t, dist, n, seed) })
+		})
+		t.Run(dist+"/fp64", func(t *testing.T) {
+			checkHitByteIdentical(t, dist, func(n int, seed uint64) []float64 { return genF64(t, dist, n, seed) })
+		})
+	}
+}
+
+func checkHitByteIdentical[T Float](t *testing.T, dist string, gen func(n int, seed uint64) []T) {
+	cfg := Config{SegmentTargetBytes: 1 << 20}
+	disk := openTest(t, cfg)
+	cfg.CacheBytes = 32 << 20
+	s := openTest(t, cfg)
+	for si, n := range []int{17, BlockValues, BlockValues + 1, 3*BlockValues + 511} {
+		key := fmt.Sprintf("%s-%d", dist, n)
+		vals := gen(n, uint64(si)*1000+7)
+		for _, st := range []*Store{disk, s} {
+			if _, err := Put(st, key, vals, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, src, err := GetInto[T](disk, nil, key, nil)
+		if err != nil || src != CacheNone {
+			t.Fatalf("disk reference read: src %q err %v", src, err)
+		}
+		warmCache(t, s, key)
+		got, src, err := GetInto[T](s, nil, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != CacheHit {
+			t.Fatalf("warmed read served as %q, want hit", src)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("hit returned %d values, disk %d", len(got), len(want))
+		}
+		for i := range got {
+			if g, w := valueBits(got[i]), valueBits(want[i]); g != w {
+				t.Fatalf("%s[%d]: hit %x disk %x — not byte-identical", key, i, g, w)
+			}
 		}
 	}
+}
+
+// valueBits returns v's IEEE bit pattern.
+func valueBits[T Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
 }
 
 // TestCacheMissThenAsyncHit exercises the production fill path end to
@@ -195,7 +180,7 @@ func TestTornTailCachePrefix(t *testing.T) {
 	}
 
 	s = openTest(t, Config{Dir: dir, CacheBytes: 8 << 20})
-	want, err := s.Get32("torn") // disk path: prefix + ErrIncomplete
+	want, err := diskGet32(s, "torn") // prefix + ErrIncomplete
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("disk read of torn vector: err %v", err)
 	}
@@ -251,7 +236,7 @@ func TestCacheInvalidation(t *testing.T) {
 	if src != CacheMiss {
 		t.Fatalf("read after overwrite served as %q, want miss", src)
 	}
-	disk, err := s.Get32("k")
+	disk, err := diskGet32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +306,7 @@ func TestRecompressionInvalidatesCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk, err := r.Get32(key(i))
+		disk, err := diskGet32(r, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}

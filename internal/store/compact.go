@@ -367,30 +367,28 @@ func (s *Store) frameLive(victim uint32, rec record, off int64) (live, isTomb bo
 }
 
 // retryCompress re-runs AVR on a lossless block at the store's current
-// threshold. It returns the converted record when the ratio floor is
-// met.
+// threshold through the put path's encode-and-ratio-floor step. It
+// returns the converted record when the ratio floor is met.
 func (s *Store) retryCompress(rec record) (won bool, out record, err error) {
-	rawLen := int(rec.ValCount) * int(rec.Width/8)
-	raw, err := decodeLossless(rec.Data, rawLen)
+	if rec.Width == 32 {
+		return retryAs[float32](s, rec)
+	}
+	return retryAs[float64](s, rec)
+}
+
+func retryAs[T Float](s *Store, rec record) (won bool, out record, err error) {
+	vals, err := opsOf[T]().decodeLossless(nil, rec.Data, int(rec.ValCount))
 	if err != nil {
 		return false, out, err
 	}
 	c := s.borrowCodec()
 	defer s.returnCodec(c)
-	var enc []byte
-	if rec.Width == 32 {
-		enc, err = c.Encode(rawToF32(raw))
-	} else {
-		enc, err = c.Encode64(rawToF64(raw))
-	}
-	if err != nil {
+	eb, _, err := encodeBlock(s, c, vals, nil)
+	if err != nil || eb.enc != encAVR {
 		return false, out, err
-	}
-	if float64(len(raw))/float64(len(enc)) < s.cfg.RatioFloor {
-		return false, out, nil
 	}
 	out = rec
 	out.Enc = encAVR
-	out.Data = enc
+	out.Data = eb.data
 	return true, out, nil
 }

@@ -48,24 +48,7 @@ func bdiLineLen(tag byte) int {
 	return 0
 }
 
-// encodeLossless encodes raw value bytes as BDI lines.
-func encodeLossless(raw []byte) []byte {
-	out := make([]byte, 0, len(raw)+len(raw)/lossless.LineBytes+lossless.LineBytes)
-	var line [lossless.LineBytes]byte
-	for off := 0; off < len(raw); off += lossless.LineBytes {
-		end := off + lossless.LineBytes
-		if end > len(raw) {
-			clear(line[:])
-			copy(line[:], raw[off:])
-			out = append(out, lossless.Encode(line[:])...)
-			break
-		}
-		out = append(out, lossless.Encode(raw[off:end])...)
-	}
-	return out
-}
-
-// appendLossless32 appends encodeLossless(f32ToRaw(vals))'s exact bytes
+// appendLossless32 appends the BDI encoding of vals' little-endian bytes
 // to dst without intermediate allocation: 16 values per BDI line, the
 // trailing partial line zero-padded.
 func appendLossless32(dst []byte, vals []float32) []byte {
@@ -103,33 +86,10 @@ func appendLossless64(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decodeLossless reconstructs rawLen value bytes from BDI lines,
-// validating every tag and length so corrupt payloads surface as errors
-// rather than panics inside the line decoder.
-func decodeLossless(data []byte, rawLen int) ([]byte, error) {
-	out := make([]byte, 0, rawLen)
-	for len(out) < rawLen {
-		if len(data) == 0 {
-			return nil, fmt.Errorf("%w: lossless payload exhausted at %d/%d bytes",
-				ErrCorrupt, len(out), rawLen)
-		}
-		n := bdiLineLen(data[0])
-		if n == 0 || n > len(data) {
-			return nil, fmt.Errorf("%w: bad lossless line tag %d", ErrCorrupt, data[0])
-		}
-		out = append(out, lossless.Decode(data[:n])...)
-		data = data[n:]
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing lossless bytes", ErrCorrupt, len(data))
-	}
-	return out[:rawLen], nil
-}
-
 // decodeLossless32To appends valCount fp32 values decoded from BDI
-// lines to dst without allocating, with decodeLossless's exact
-// validation and error taxonomy (byte counts in messages, trailing-byte
-// check).
+// lines to dst without allocating, validating every tag and length so
+// corrupt payloads surface as ErrCorrupt (byte counts in messages, no
+// trailing bytes allowed) rather than panics inside the line decoder.
 func decodeLossless32To(dst []float32, data []byte, valCount int) ([]float32, error) {
 	rawLen := 4 * valCount
 	var line [lossless.LineBytes]byte
@@ -186,40 +146,3 @@ func decodeLossless64To(dst []float64, data []byte, valCount int) ([]float64, er
 	}
 	return dst, nil
 }
-
-// Raw little-endian value conversions shared by the put/get paths.
-
-func f32ToRaw(vals []float32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
-func rawToF32(b []byte) []float32 {
-	vals := make([]float32, len(b)/4)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vals
-}
-
-func f64ToRaw(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-func rawToF64(b []byte) []float64 {
-	vals := make([]float64, len(b)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vals
-}
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -19,23 +19,36 @@ import (
 // encJob is one put's block-encode work order, processed cooperatively
 // by the calling goroutine and any helpers that pick it up. Blocks are
 // claimed by an atomic counter; each claim encodes exactly one block
-// into its own scratch slot. The job lives inside putScratch and is
-// reused across puts.
-type encJob struct {
+// into its own scratch slot. The job lives inside putScratch (one per
+// width) and is reused across puts.
+type encJob[T Float] struct {
 	s        *Store
 	key      string
-	vals32   []float32 // exactly one of vals32/vals64 is non-nil
-	vals64   []float64
+	vals     []T
 	ps       *putScratch
 	next     atomic.Int64
 	helpers  sync.WaitGroup
 	firstErr atomic.Pointer[error]
 }
 
+// encWork is a job as the width-agnostic worker pool sees it.
+type encWork interface {
+	help(c *avr.Codec)
+}
+
+// jobOf returns ps's encode job for width T (a pointer assertion: no
+// allocation).
+func jobOf[T Float](ps *putScratch) *encJob[T] {
+	if j, ok := any(&ps.job32).(*encJob[T]); ok {
+		return j
+	}
+	return any(&ps.job64).(*encJob[T])
+}
+
 // run claims and encodes blocks until none remain. On the first error
 // the claim counter is exhausted so other participants stop early; the
 // error wins by atomic first-store, keeping run lock-free.
-func (j *encJob) run(c *avr.Codec) {
+func (j *encJob[T]) run(c *avr.Codec) {
 	nb := int64(len(j.ps.blocks))
 	for {
 		i := j.next.Add(1) - 1
@@ -43,18 +56,8 @@ func (j *encJob) run(c *avr.Codec) {
 			return
 		}
 		off := int(i) * BlockValues
-		var (
-			eb  encodedBlock
-			buf []byte
-			err error
-		)
-		if j.vals32 != nil {
-			end := min(off+BlockValues, len(j.vals32))
-			eb, buf, err = j.s.appendBlock32(c, j.key, uint32(i), j.vals32[off:end], j.ps.bufs[i])
-		} else {
-			end := min(off+BlockValues, len(j.vals64))
-			eb, buf, err = j.s.appendBlock64(c, j.key, uint32(i), j.vals64[off:end], j.ps.bufs[i])
-		}
+		end := min(off+BlockValues, len(j.vals))
+		eb, buf, err := appendBlock(j.s, c, j.key, uint32(i), j.vals[off:end], j.ps.bufs[i])
 		j.ps.bufs[i] = buf
 		if err != nil {
 			e := err // heap-boxed only on the error path
@@ -66,12 +69,18 @@ func (j *encJob) run(c *avr.Codec) {
 	}
 }
 
+// help is one pool goroutine's share of the job.
+func (j *encJob[T]) help(c *avr.Codec) {
+	j.run(c)
+	j.helpers.Done()
+}
+
 // encodeBlocks fills ps.blocks, serially on the caller's goroutine when
 // the store has no worker pool (the allocation-free default) and
 // cooperatively with the pool otherwise.
-func (s *Store) encodeBlocks(key string, vals32 []float32, vals64 []float64, ps *putScratch) error {
-	j := &ps.job
-	j.s, j.key, j.vals32, j.vals64, j.ps = s, key, vals32, vals64, ps
+func encodeBlocks[T Float](s *Store, key string, vals []T, ps *putScratch) error {
+	j := jobOf[T](ps)
+	j.s, j.key, j.vals, j.ps = s, key, vals, ps
 	j.next.Store(0)
 	j.firstErr.Store(nil)
 	posted := 0
@@ -106,7 +115,7 @@ func (s *Store) encodeBlocks(key string, vals32 []float32, vals64 []float64, ps 
 		j.helpers.Wait()
 	}
 	// Drop caller references so the pooled scratch does not pin them.
-	j.key, j.vals32, j.vals64 = "", nil, nil
+	j.key, j.vals = "", nil
 	if ep := j.firstErr.Load(); ep != nil {
 		return *ep
 	}
@@ -120,16 +129,7 @@ func (s *Store) encWorker() {
 	defer s.encWG.Done()
 	for j := range s.encJobs {
 		c := s.borrowCodec()
-		j.run(c)
+		j.help(c)
 		s.returnCodec(c)
-		j.helpers.Done()
 	}
-}
-
-func (s *Store) encodeBlocks32(key string, vals []float32, ps *putScratch) error {
-	return s.encodeBlocks(key, vals, nil, ps)
-}
-
-func (s *Store) encodeBlocks64(key string, vals []float64, ps *putScratch) error {
-	return s.encodeBlocks(key, nil, vals, ps)
 }

@@ -64,7 +64,7 @@ func TestPutParallelMatchesSerial(t *testing.T) {
 			if _, err := s.Put32(key32, v32); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Put64(key64, v64); err != nil {
+			if _, err := Put(s, key64, v64, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,7 +117,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Put64(fmt.Sprintf("wide-%d", w), vals64); err != nil {
+				if _, err := Put(s, fmt.Sprintf("wide-%d", w), vals64, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -128,7 +128,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if got, err := s.Get32(fmt.Sprintf("key-0-%d", i%5)); err == nil {
+			if got, err := get32(s, fmt.Sprintf("key-0-%d", i%5)); err == nil {
 				if len(got) != len(vals) {
 					t.Errorf("get returned %d values, want %d", len(got), len(vals))
 					return
@@ -158,7 +158,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	if _, err := s.Put32("final", vals); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get32("final")
+	got, err := get32(s, "final")
 	if err != nil {
 		t.Fatal(err)
 	}

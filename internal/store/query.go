@@ -196,7 +196,7 @@ type queryRun struct {
 	groupN                     int
 
 	// sp receives per-stage attribution (lock wait, query walk); nil
-	// outside the traced entry points.
+	// traces nothing.
 	sp *trace.Span
 
 	stats QueryStats
@@ -339,16 +339,11 @@ func (q *queryRun) padGroup(v float64, exact bool) {
 
 // QueryAggregate computes count/sum/mean with t1-derived error bars and
 // t1-widened min/max envelopes over the vector stored under key,
-// reading summaries (plus outliers) instead of decoding blocks.
-func (s *Store) QueryAggregate(key string) (AggregateResult, error) {
-	return s.QueryAggregateTraced(key, nil)
-}
-
-// QueryAggregateTraced is QueryAggregate with per-stage attribution
-// onto sp: store mutex wait (StageLock) and the compressed-domain walk
-// including its targeted preads (StageQuery). A nil span traces nothing
+// reading summaries (plus outliers) instead of decoding blocks. sp
+// receives store mutex wait (StageLock) and the compressed-domain walk
+// including its targeted preads (StageQuery); a nil span traces nothing
 // at no cost.
-func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResult, error) {
+func (s *Store) QueryAggregate(key string, sp *trace.Span) (AggregateResult, error) {
 	t0 := time.Now()
 	q := queryRun{
 		op:    qopAggregate,
@@ -380,14 +375,9 @@ func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResul
 
 // QueryFilter counts values in [lo, hi] (inclusive): a guaranteed
 // bracket [MatchesMin, MatchesMax] plus a point estimate. Sub-blocks
-// are pruned from summary bounds; outliers are classified exactly.
-func (s *Store) QueryFilter(key string, lo, hi float64) (FilterResult, error) {
-	return s.QueryFilterTraced(key, lo, hi, nil)
-}
-
-// QueryFilterTraced is QueryFilter with QueryAggregateTraced's
-// per-stage attribution.
-func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (FilterResult, error) {
+// are pruned from summary bounds; outliers are classified exactly. sp
+// is traced as in QueryAggregate.
+func (s *Store) QueryFilter(key string, lo, hi float64, sp *trace.Span) (FilterResult, error) {
 	if !(lo <= hi) {
 		return FilterResult{}, fmt.Errorf("store: bad filter range [%g, %g]", lo, hi)
 	}
@@ -409,14 +399,8 @@ func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (F
 
 // QueryDownsample renders the vector at 1/16 resolution from the
 // sub-block summaries: one point per 16 values, each with its own
-// error bound.
-func (s *Store) QueryDownsample(key string) (DownsampleResult, error) {
-	return s.QueryDownsampleTraced(key, nil)
-}
-
-// QueryDownsampleTraced is QueryDownsample with
-// QueryAggregateTraced's per-stage attribution.
-func (s *Store) QueryDownsampleTraced(key string, sp *trace.Span) (DownsampleResult, error) {
+// error bound. sp is traced as in QueryAggregate.
+func (s *Store) QueryDownsample(key string, sp *trace.Span) (DownsampleResult, error) {
 	t0 := time.Now()
 	q := queryRun{op: qopDownsample, sp: sp}
 	width, err := s.runQuery(key, &q)
@@ -447,17 +431,11 @@ func finishQuery(q *queryRun, t0 time.Time) {
 // stops at the first hole (torn put), marking the result incomplete,
 // exactly like the Get path serves a recovered prefix.
 func (s *Store) runQuery(key string, q *queryRun) (int, error) {
-	lt := q.sp.Begin()
-	s.mu.RLock()
-	q.sp.End(trace.StageLock, lt)
+	e, err := s.rlockEntry(key, q.sp)
+	if err != nil {
+		return 0, err
+	}
 	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return 0, ErrNotFound
-	}
 	qs := s.queries.Get().(*queryScratch)
 	defer s.queries.Put(qs)
 	// The walk itself — targeted preads plus summary math — is one

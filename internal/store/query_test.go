@@ -176,14 +176,14 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := s.Put64(key, w64); err != nil {
+						if _, err := Put(s, key, w64, nil); err != nil {
 							t.Fatal(err)
 						}
 						copy(vals, w64)
 					}
 					gt := groundTruth(vals)
 
-					agg, err := s.QueryAggregate(key)
+					agg, err := s.QueryAggregate(key, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,14 +206,14 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 						if !(band[0] <= band[1]) {
 							continue
 						}
-						fr, err := s.QueryFilter(key, band[0], band[1])
+						fr, err := s.QueryFilter(key, band[0], band[1], nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
 					}
 
-					ds, err := s.QueryDownsample(key)
+					ds, err := s.QueryDownsample(key, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -248,11 +248,11 @@ func TestQueryBytesTouched(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := s.Put64(key, genF64(t, tc.dist, n, 11)); err != nil {
+			if _, err := Put(s, key, genF64(t, tc.dist, n, 11), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.QueryAggregate(key)
+		res, err := s.QueryAggregate(key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +272,10 @@ func TestQueryBytesTouched(t *testing.T) {
 // TestQueryErrors pins the error mapping of the query surface.
 func TestQueryErrors(t *testing.T) {
 	s := openTest(t, Config{})
-	if _, err := s.QueryAggregate("absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.QueryAggregate("absent", nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("aggregate of absent key: %v", err)
 	}
-	if _, err := s.QueryFilter("absent", 1, 0); err == nil {
+	if _, err := s.QueryFilter("absent", 1, 0, nil); err == nil {
 		t.Fatal("inverted filter range accepted")
 	}
 	if _, err := s.Put32("k", genF32(t, "ramp", 100, 3)); err != nil {
@@ -284,7 +284,7 @@ func TestQueryErrors(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.QueryAggregate("k"); !errors.Is(err, ErrClosed) {
+	if _, err := s.QueryAggregate("k", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("aggregate after close: %v", err)
 	}
 }
@@ -355,14 +355,14 @@ func TestTornTailHole(t *testing.T) {
 	if st := s.Stats(); st.Blocks != 1 {
 		t.Fatalf("Stats.Blocks %d after torn recovery, want 1", st.Blocks)
 	}
-	got, err := s.Get32("torn")
+	got, err := get32(s, "torn")
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("Get of torn vector: err %v", err)
 	}
 	if len(got) != BlockValues {
 		t.Fatalf("recovered prefix of %d values, want %d", len(got), BlockValues)
 	}
-	agg, err := s.QueryAggregate("torn")
+	agg, err := s.QueryAggregate("torn", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ type Store struct {
 	// EncodeWorkers is 1). encMu/encStopped let Close shut the queue
 	// without racing an in-flight post; the workers drain any copies
 	// still buffered before exiting, so no put blocks on Close.
-	encJobs    chan *encJob
+	encJobs    chan encWork
 	encMu      sync.RWMutex
 	encStopped bool
 	encWG      sync.WaitGroup
@@ -280,7 +280,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.EncodeWorkers > 1 {
 		s.encSem = make(chan struct{}, cfg.EncodeWorkers)
-		s.encJobs = make(chan *encJob, 2*cfg.EncodeWorkers)
+		s.encJobs = make(chan encWork, 2*cfg.EncodeWorkers)
 		for w := 0; w < cfg.EncodeWorkers-1; w++ {
 			s.encWG.Add(1)
 			go s.encWorker()
@@ -566,7 +566,8 @@ type putScratch struct {
 	refs   []blockRef
 	frame  []byte
 	rec    record
-	job    encJob
+	job32  encJob[float32]
+	job64  encJob[float64]
 }
 
 // ensure sizes the scratch for an nb-block put, keeping grown buffers.
@@ -584,43 +585,59 @@ func (ps *putScratch) ensure(nb int) {
 	ps.refs = ps.refs[:nb]
 }
 
-// appendBlock32 encodes one fp32 block into buf (reused across puts),
-// honouring the flag table and the ratio floor. It returns the block
-// descriptor and the grown buffer; the descriptor's data aliases buf.
-func (s *Store) appendBlock32(c *avr.Codec, key string, idx uint32, vals []float32, buf []byte) (encodedBlock, []byte, error) {
-	rawLen := 4 * len(vals)
-	if s.flagged(key, idx) {
-		obs.StoreCompressSkips.Add(1)
-		buf = appendLossless32(buf[:0], vals)
-		return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
-			data: buf, ratio: 1, skipped: true}, buf, nil
-	}
-	buf, err := c.EncodeTo(buf[:0], vals)
-	if err != nil {
-		return encodedBlock{}, buf, err
-	}
-	if ratio := float64(rawLen) / float64(len(buf)); ratio >= s.cfg.RatioFloor {
-		return encodedBlock{enc: encAVR, valCount: uint32(len(vals)), data: buf, ratio: ratio}, buf, nil
-	}
-	// Below the floor: append the lossless fallback after the (discarded)
-	// AVR stream so both share one grown buffer.
-	llStart := len(buf)
-	buf = appendLossless32(buf, vals)
-	ll := buf[llStart:]
-	return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
-		data: ll, ratio: float64(rawLen) / float64(len(ll))}, buf, nil
+// Float is the store's value type: AVR's block format at its two
+// widths. Put and GetInto are written once over it; what really differs
+// by width goes through widthOps.
+type Float interface{ float32 | float64 }
+
+// widthOps is the per-width table of the format code the generic paths
+// dispatch to: the codec calls, lossless line packing and the cache-hit
+// reconstruction kernel.
+type widthOps[T Float] struct {
+	width          uint8
+	encode         func(c *avr.Codec, dst []byte, vals []T) ([]byte, error)
+	decode         func(c *avr.Codec, dst []T, data []byte) ([]T, error)
+	appendLossless func(dst []byte, vals []T) []byte
+	decodeLossless func(dst []T, data []byte, valCount int) ([]T, error)
+	serveLine      func(s *Store, dst []T, ln *cachedLine) []T
 }
 
-// appendBlock64 is appendBlock32 for fp64 blocks.
-func (s *Store) appendBlock64(c *avr.Codec, key string, idx uint32, vals []float64, buf []byte) (encodedBlock, []byte, error) {
-	rawLen := 8 * len(vals)
+var (
+	ops32 = &widthOps[float32]{32, (*avr.Codec).EncodeTo, (*avr.Codec).DecodeTo,
+		appendLossless32, decodeLossless32To, (*Store).serve32FromLine}
+	ops64 = &widthOps[float64]{64, (*avr.Codec).Encode64To, (*avr.Codec).Decode64To,
+		appendLossless64, decodeLossless64To, (*Store).serve64FromLine}
+)
+
+// opsOf returns T's table (a pointer assertion: no allocation).
+func opsOf[T Float]() *widthOps[T] {
+	if ops, ok := any(ops32).(*widthOps[T]); ok {
+		return ops
+	}
+	return any(ops64).(*widthOps[T])
+}
+
+// appendBlock encodes one block into buf (reused across puts): a block
+// flagged in the badly-compressing-block table skips straight to the
+// lossless fallback, any other goes through encodeBlock.
+func appendBlock[T Float](s *Store, c *avr.Codec, key string, idx uint32, vals []T, buf []byte) (encodedBlock, []byte, error) {
 	if s.flagged(key, idx) {
 		obs.StoreCompressSkips.Add(1)
-		buf = appendLossless64(buf[:0], vals)
+		buf = opsOf[T]().appendLossless(buf[:0], vals)
 		return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
 			data: buf, ratio: 1, skipped: true}, buf, nil
 	}
-	buf, err := c.Encode64To(buf[:0], vals)
+	return encodeBlock(s, c, vals, buf)
+}
+
+// encodeBlock AVR-encodes one block into buf and applies the ratio
+// floor: below it, the lossless fallback is appended after the
+// (discarded) AVR stream so both share one grown buffer. It returns the
+// block descriptor, whose data aliases buf, and the grown buffer.
+func encodeBlock[T Float](s *Store, c *avr.Codec, vals []T, buf []byte) (encodedBlock, []byte, error) {
+	ops := opsOf[T]()
+	rawLen := int(ops.width/8) * len(vals)
+	buf, err := ops.encode(c, buf[:0], vals)
 	if err != nil {
 		return encodedBlock{}, buf, err
 	}
@@ -628,7 +645,7 @@ func (s *Store) appendBlock64(c *avr.Codec, key string, idx uint32, vals []float
 		return encodedBlock{enc: encAVR, valCount: uint32(len(vals)), data: buf, ratio: ratio}, buf, nil
 	}
 	llStart := len(buf)
-	buf = appendLossless64(buf, vals)
+	buf = ops.appendLossless(buf, vals)
 	ll := buf[llStart:]
 	return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
 		data: ll, ratio: float64(rawLen) / float64(len(ll))}, buf, nil
@@ -643,57 +660,33 @@ func (s *Store) flagged(key string, idx uint32) bool {
 	return ok && fe.t1 == s.cfg.T1
 }
 
-// Put32 stores an fp32 vector under key, replacing any previous value.
+// Put stores vals under key, replacing any previous value of either
+// width, with per-stage attribution onto sp: block encoding
+// (StageEncode), store mutex wait (StageLock) and segment appends
+// (StageSegWrite). A nil span traces nothing at no cost.
+func Put[T Float](s *Store, key string, vals []T, sp *trace.Span) (PutResult, error) {
+	if err := checkKey(key); err != nil {
+		return PutResult{}, err
+	}
+	if len(vals) == 0 {
+		return PutResult{}, errors.New("store: empty vector")
+	}
+	t0 := time.Now()
+	ps := s.puts.Get().(*putScratch)
+	defer s.puts.Put(ps)
+	ps.ensure((len(vals) + BlockValues - 1) / BlockValues)
+	et := sp.Begin()
+	if err := encodeBlocks(s, key, vals, ps); err != nil {
+		return PutResult{}, err
+	}
+	sp.End(trace.StageEncode, et)
+	w := opsOf[T]().width
+	return s.commitPut(key, w, uint64(len(vals)), int(w/8)*len(vals), ps, t0, sp)
+}
+
+// Put32 is an untraced Put of an fp32 vector.
 func (s *Store) Put32(key string, vals []float32) (PutResult, error) {
-	return s.Put32Traced(key, vals, nil)
-}
-
-// Put32Traced is Put32 with per-stage attribution onto sp: block
-// encoding (StageEncode), store mutex wait (StageLock), and segment
-// appends (StageSegWrite). A nil span traces nothing at no cost, which
-// is how Put32 calls it.
-func (s *Store) Put32Traced(key string, vals []float32, sp *trace.Span) (PutResult, error) {
-	if err := checkKey(key); err != nil {
-		return PutResult{}, err
-	}
-	if len(vals) == 0 {
-		return PutResult{}, errors.New("store: empty vector")
-	}
-	t0 := time.Now()
-	ps := s.puts.Get().(*putScratch)
-	defer s.puts.Put(ps)
-	ps.ensure((len(vals) + BlockValues - 1) / BlockValues)
-	et := sp.Begin()
-	if err := s.encodeBlocks32(key, vals, ps); err != nil {
-		return PutResult{}, err
-	}
-	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, 32, uint64(len(vals)), 4*len(vals), ps, t0, sp)
-}
-
-// Put64 stores an fp64 vector under key, replacing any previous value.
-func (s *Store) Put64(key string, vals []float64) (PutResult, error) {
-	return s.Put64Traced(key, vals, nil)
-}
-
-// Put64Traced is Put32Traced for fp64 vectors.
-func (s *Store) Put64Traced(key string, vals []float64, sp *trace.Span) (PutResult, error) {
-	if err := checkKey(key); err != nil {
-		return PutResult{}, err
-	}
-	if len(vals) == 0 {
-		return PutResult{}, errors.New("store: empty vector")
-	}
-	t0 := time.Now()
-	ps := s.puts.Get().(*putScratch)
-	defer s.puts.Put(ps)
-	ps.ensure((len(vals) + BlockValues - 1) / BlockValues)
-	et := sp.Begin()
-	if err := s.encodeBlocks64(key, vals, ps); err != nil {
-		return PutResult{}, err
-	}
-	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, 64, uint64(len(vals)), 8*len(vals), ps, t0, sp)
+	return Put(s, key, vals, nil)
 }
 
 // commitPut appends the encoded blocks as frames and installs the new
@@ -799,98 +792,135 @@ type PutResult struct {
 }
 
 // Get returns the vector stored under key along with its width (32 or
-// 64); exactly one of the two slices is non-nil. A vector whose tail was
-// lost to a crash returns its recovered prefix plus ErrIncomplete.
-func (s *Store) Get(key string) (vals32 []float32, vals64 []float64, width int, err error) {
-	return s.GetTraced(key, nil)
+// 64) and how the read was served; exactly one of the two slices is
+// non-nil. The entry, its width and its values are read under one read
+// lock, so a concurrent overwrite at the other width is seen either
+// wholly before or wholly after. A vector whose tail was lost to a
+// crash returns its recovered prefix plus ErrIncomplete. sp receives
+// GetInto's per-stage attribution; a nil span traces nothing.
+func (s *Store) Get(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, src CacheSource, err error) {
+	t0 := time.Now()
+	e, err := s.rlockEntry(key, sp)
+	if err != nil {
+		return nil, nil, 0, CacheNone, err
+	}
+	defer s.mu.RUnlock()
+	if e.width == 32 {
+		vals32, src, err = getLocked[float32](s, nil, key, e, sp, t0)
+	} else {
+		vals64, src, err = getLocked[float64](s, nil, key, e, sp, t0)
+	}
+	return vals32, vals64, int(e.width), src, err
 }
 
-// GetTraced is Get with per-stage attribution onto sp: store mutex
-// wait (StageLock), segment reads (StageSegRead), and block decodes
-// (StageDecode). A nil span traces nothing at no cost.
-func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
+// GetInto appends the vector stored under key to dst and returns the
+// extended slice plus how the read was served (for the X-AVR-Cache
+// header). A key holding the other width fails with ErrWidth. With a
+// retained buffer (dst[:0]) the read is allocation-free. On a cache hit
+// the vector reconstructs from the resident summary line with no
+// segment read; on a miss it takes the disk path and an async fill is
+// queued for next time. An incomplete vector appends its recovered
+// prefix and returns ErrIncomplete alongside it. sp receives store
+// mutex wait (StageLock), segment reads (StageSegRead), block decodes
+// (StageDecode) or the cache-hit reconstruction (StageCacheHit); a nil
+// span traces nothing at no cost.
+func GetInto[T Float](s *Store, dst []T, key string, sp *trace.Span) ([]T, CacheSource, error) {
 	t0 := time.Now()
+	e, err := s.rlockEntry(key, sp)
+	if err != nil {
+		return nil, CacheNone, err
+	}
+	defer s.mu.RUnlock()
+	if e.width != opsOf[T]().width {
+		return nil, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
+	}
+	return getLocked(s, dst, key, e, sp, t0)
+}
+
+// Get32IntoCached is an fp32 GetInto.
+func (s *Store) Get32IntoCached(dst []float32, key string, sp *trace.Span) ([]float32, CacheSource, error) {
+	return GetInto(s, dst, key, sp)
+}
+
+// rlockEntry takes the read lock, attributing its wait to StageLock,
+// and resolves key. On success the caller holds the read lock and must
+// release it.
+func (s *Store) rlockEntry(key string, sp *trace.Span) (*entry, error) {
 	lt := sp.Begin()
 	s.mu.RLock()
 	sp.End(trace.StageLock, lt)
-	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, nil, 0, ErrClosed
+		s.mu.RUnlock()
+		return nil, ErrClosed
 	}
 	e, ok := s.index[key]
 	if !ok {
-		return nil, nil, 0, ErrNotFound
+		s.mu.RUnlock()
+		return nil, ErrNotFound
 	}
-	var complete bool
-	var nvals int
-	if e.width == 32 {
-		vals32, complete, err = s.read32Locked(nil, key, e, sp)
-		nvals = len(vals32)
-	} else {
-		vals64, complete, err = s.read64Locked(nil, key, e, sp)
-		nvals = len(vals64)
+	return e, nil
+}
+
+// getLocked serves e, resolved for key under the read lock the caller
+// holds, into dst: from a seq-validated resident summary line when the
+// cache holds one, else from disk.
+func getLocked[T Float](s *Store, dst []T, key string, e *entry, sp *trace.Span, t0 time.Time) ([]T, CacheSource, error) {
+	valBytes := int64(e.width / 8)
+	src := CacheNone
+	if s.cache != nil {
+		s.cache.Observe(key)
+		if ent, hit := s.cache.Get(key); hit {
+			if ln, ok := ent.Meta.(*cachedLine); ok && ln.seq == e.seq && ln.width == e.width {
+				ct := sp.Begin()
+				dst = opsOf[T]().serveLine(s, dst, ln)
+				sp.End(trace.StageCacheHit, ct)
+				src = CacheHit
+				if ent.ConsumePrefetched() {
+					obs.PrefetchUseful.Add(1)
+					src = CachePrefetch
+				}
+				obs.CacheHits.Add(1)
+				observeGet(t0, valBytes*int64(ln.nvals), cacheHitHist)
+				return dst, src, incomplete(ln.complete)
+			}
+			// Stale (superseded seq or recompressed): unservable, drop it.
+			s.cache.Invalidate(key)
+		}
+		obs.CacheMisses.Add(1)
+		s.cache.RequestFill(key)
+		src = CacheMiss
 	}
+	base := len(dst)
+	dst, complete, err := readLocked(s, dst, key, e, sp)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, src, err
 	}
+	var split *obs.SyncHistogram
+	if src == CacheMiss {
+		split = cacheMissHist
+	}
+	observeGet(t0, valBytes*int64(len(dst)-base), split)
+	return dst, src, incomplete(complete)
+}
+
+// observeGet does the per-read accounting; split, when non-nil, is the
+// cache hit or miss latency histogram the read also feeds.
+func observeGet(t0 time.Time, rawBytes int64, split *obs.SyncHistogram) {
 	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(int64(nvals) * int64(e.width/8))
-	getLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
-	if !complete {
-		err = ErrIncomplete
+	obs.StoreGetBytes.Add(rawBytes)
+	lat := float64(time.Since(t0).Microseconds())
+	getLatencyHist.Observe(lat)
+	if split != nil {
+		split.Observe(lat)
 	}
-	return vals32, vals64, int(e.width), err
 }
 
-// Get32 returns the fp32 vector stored under key.
-func (s *Store) Get32(key string) ([]float32, error) {
-	v32, _, w, err := s.Get(key)
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, err
+// incomplete maps a vector's completeness onto its read error.
+func incomplete(complete bool) error {
+	if complete {
+		return nil
 	}
-	if w != 32 {
-		return nil, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, w)
-	}
-	return v32, err
-}
-
-// Get64 returns the fp64 vector stored under key.
-func (s *Store) Get64(key string) ([]float64, error) {
-	_, v64, w, err := s.Get(key)
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, err
-	}
-	if w != 64 {
-		return nil, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, w)
-	}
-	return v64, err
-}
-
-// Get32Into appends the fp32 vector stored under key to dst and returns
-// the extended slice. With a retained buffer (dst[:0]) the read path is
-// allocation-free. An incomplete vector appends its recovered prefix
-// and returns ErrIncomplete alongside it.
-func (s *Store) Get32Into(dst []float32, key string) ([]float32, error) {
-	return s.Get32IntoTraced(dst, key, nil)
-}
-
-// Get32IntoTraced is Get32Into with GetTraced's per-stage attribution.
-// Reads go through the summary-line cache when one is configured (the
-// CacheSource-reporting variant is Get32IntoCached).
-func (s *Store) Get32IntoTraced(dst []float32, key string, sp *trace.Span) ([]float32, error) {
-	dst, _, err := s.Get32IntoCached(dst, key, sp)
-	return dst, err
-}
-
-// Get64Into is Get32Into for fp64 vectors.
-func (s *Store) Get64Into(dst []float64, key string) ([]float64, error) {
-	return s.Get64IntoTraced(dst, key, nil)
-}
-
-// Get64IntoTraced is Get32IntoTraced for fp64 vectors.
-func (s *Store) Get64IntoTraced(dst []float64, key string, sp *trace.Span) ([]float64, error) {
-	dst, _, err := s.Get64IntoCached(dst, key, sp)
-	return dst, err
+	return ErrIncomplete
 }
 
 // getScratch is the pooled read-path state: the frame read-back buffer.
@@ -898,10 +928,10 @@ type getScratch struct {
 	frame []byte
 }
 
-// read32Locked appends e's decoded fp32 blocks to dst in vector order,
-// stopping at the first hole (torn put). Caller holds at least the read
-// lock.
-func (s *Store) read32Locked(dst []float32, key string, e *entry, sp *trace.Span) ([]float32, bool, error) {
+// readLocked appends e's decoded blocks to dst in vector order, stopping
+// at the first hole (torn put). Caller holds at least the read lock.
+func readLocked[T Float](s *Store, dst []T, key string, e *entry, sp *trace.Span) ([]T, bool, error) {
+	ops := opsOf[T]()
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
 	c := s.borrowCodec()
@@ -923,48 +953,9 @@ func (s *Store) read32Locked(dst []float32, key string, e *entry, sp *trace.Span
 		n := len(dst)
 		dt := sp.Begin()
 		if ref.enc == encLossless {
-			dst, err = decodeLossless32To(dst, data, int(ref.valCount))
+			dst, err = ops.decodeLossless(dst, data, int(ref.valCount))
 		} else {
-			dst, err = c.DecodeTo(dst, data)
-			if err == nil && len(dst)-n != int(ref.valCount) {
-				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
-					ErrCorrupt, len(dst)-n, ref.valCount)
-			}
-		}
-		sp.End(trace.StageDecode, dt)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-	}
-	return dst, len(e.refs) == e.blocks(), nil
-}
-
-// read64Locked is read32Locked for fp64 entries.
-func (s *Store) read64Locked(dst []float64, key string, e *entry, sp *trace.Span) ([]float64, bool, error) {
-	gs := s.gets.Get().(*getScratch)
-	defer s.gets.Put(gs)
-	c := s.borrowCodec()
-	defer s.returnCodec(c)
-	if n := int(e.totalVals); cap(dst)-len(dst) < n {
-		dst = slices.Grow(dst, n)
-	}
-	for i := range e.refs {
-		ref := e.refs[i]
-		if ref.seg == 0 {
-			return dst, false, nil
-		}
-		rt := sp.Begin()
-		data, err := s.readFrameLocked(ref, gs)
-		sp.End(trace.StageSegRead, rt)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-		n := len(dst)
-		dt := sp.Begin()
-		if ref.enc == encLossless {
-			dst, err = decodeLossless64To(dst, data, int(ref.valCount))
-		} else {
-			dst, err = c.Decode64To(dst, data)
+			dst, err = ops.decode(c, dst, data)
 			if err == nil && len(dst)-n != int(ref.valCount) {
 				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
 					ErrCorrupt, len(dst)-n, ref.valCount)

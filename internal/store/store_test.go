@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"avr/internal/workloads"
 )
@@ -59,6 +62,33 @@ func genF64(t *testing.T, dist string, n int, seed uint64) []float64 {
 	return vals
 }
 
+// get32 and get64 are untraced GetInto calls into a fresh slice.
+func get32(s *Store, key string) ([]float32, error) {
+	v, _, err := GetInto[float32](s, nil, key, nil)
+	return v, err
+}
+
+func get64(s *Store, key string) ([]float64, error) {
+	v, _, err := GetInto[float64](s, nil, key, nil)
+	return v, err
+}
+
+// diskGet32 reads key through the disk path alone, never the read
+// cache: the reference cache-hit reads are checked against.
+func diskGet32(s *Store, key string) ([]float32, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.index[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	v, complete, err := readLocked[float32](s, nil, key, e, nil)
+	if err != nil {
+		return nil, err
+	}
+	return v, incomplete(complete)
+}
+
 func TestPutGetRoundTrip32(t *testing.T) {
 	s := openTest(t, Config{})
 	vals := genF32(t, "heat", 3*BlockValues+123, 1)
@@ -72,7 +102,7 @@ func TestPutGetRoundTrip32(t *testing.T) {
 	if res.Ratio < 2 {
 		t.Errorf("heat data achieved ratio %.2f, want compressible (≥2)", res.Ratio)
 	}
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +119,10 @@ func TestPutGetRoundTrip32(t *testing.T) {
 func TestPutGetRoundTrip64(t *testing.T) {
 	s := openTest(t, Config{})
 	vals := genF64(t, "wave", 2*BlockValues+7, 2)
-	if _, err := s.Put64("k64", vals); err != nil {
+	if _, err := Put(s, "k64", vals, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get64("k64")
+	got, err := get64(s, "k64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +141,68 @@ func TestGetWidthMismatch(t *testing.T) {
 	if _, err := s.Put32("k", genF32(t, "heat", 100, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get64("k"); !errors.Is(err, ErrWidth) {
+	if _, err := get64(s, "k"); !errors.Is(err, ErrWidth) {
 		t.Fatalf("Get64 of fp32 key: err = %v, want ErrWidth", err)
 	}
-	if _, err := s.Get32("missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(s, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get32 missing key: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestGetDuringWidthChange: Get resolves the entry, its width and its
+// values under one read lock, so readers racing overwrites that flip a
+// key between fp32 and fp64 always see one whole vector, never ErrWidth.
+func TestGetDuringWidthChange(t *testing.T) {
+	s := openTest(t, Config{CacheBytes: 8 << 20})
+	v32 := genF32(t, "heat", BlockValues, 1)
+	v64 := genF64(t, "wave", BlockValues, 1)
+	if _, err := s.Put32("k", v32); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var reads, widthErrs atomic.Int64
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g32, g64, w, _, err := s.Get("k", nil)
+				reads.Add(1)
+				switch {
+				case errors.Is(err, ErrWidth):
+					widthErrs.Add(1)
+				case err != nil:
+					t.Error(err)
+					return
+				case (w == 32) != (g32 != nil) || len(g32)+len(g64) != BlockValues:
+					t.Errorf("fp%d read returned %d fp32 and %d fp64 values", w, len(g32), len(g64))
+					return
+				}
+			}
+		}()
+	}
+	for i, end := 0, time.Now().Add(2*time.Second); time.Now().Before(end); i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = Put(s, "k", v64, nil)
+		} else {
+			_, err = s.Put32("k", v32)
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if n := widthErrs.Load(); n != 0 {
+		t.Fatalf("%d of %d reads failed with ErrWidth", n, reads.Load())
 	}
 }
 
@@ -131,7 +218,7 @@ func TestLosslessFallbackIsExact(t *testing.T) {
 	if res.LosslessBlocks != res.Blocks {
 		t.Fatalf("%d of %d blocks lossless, want all", res.LosslessBlocks, res.Blocks)
 	}
-	got, err := s.Get32("noise")
+	got, err := get32(s, "noise")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +249,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if _, err := s.Put32("k", v2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +263,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if err := s.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get32("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(s, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete: err = %v, want ErrNotFound", err)
 	}
 	if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
@@ -194,7 +281,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		if _, err := s.Put32(key, vals); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Get32(key)
+		got, err := get32(s, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +305,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatalf("reopened store has keys %v, want %d keys", keys, len(want))
 	}
 	for key, vals := range want {
-		got, err := r.Get32(key)
+		got, err := get32(r, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +315,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.Get32("gone"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(r, "gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key resurrected after reopen: err = %v", err)
 	}
 	statsAfter := r.Stats()
@@ -252,7 +339,7 @@ func TestSegmentRollAndStats(t *testing.T) {
 	if st.Segments < 2 {
 		t.Fatalf("expected multiple segments, got %d", st.Segments)
 	}
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +404,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 	r := openTest(t, Config{Dir: dir})
 	// The untouched key is fully intact.
-	got, err := r.Get32("stable")
+	got, err := get32(r, "stable")
 	if err != nil {
 		t.Fatalf("stable key after crash: %v", err)
 	}
@@ -328,7 +415,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 	// The victim lost its last block (37 bytes cut the final frame) but
 	// every fully-written block must be back, bounded by t1.
-	v, err := r.Get32("victim")
+	v, err := get32(r, "victim")
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("victim Get err = %v, want ErrIncomplete", err)
 	}
@@ -346,7 +433,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if _, err := r.Put32("victim", victim); err != nil {
 		t.Fatal(err)
 	}
-	if v, err = r.Get32("victim"); err != nil || len(v) != len(victim) {
+	if v, err = get32(r, "victim"); err != nil || len(v) != len(victim) {
 		t.Fatalf("re-put after recovery: %d values, err %v", len(v), err)
 	}
 }
@@ -415,7 +502,7 @@ func TestClosedStore(t *testing.T) {
 	if _, err := s.Put32("k", []float32{1}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after Close: %v, want ErrClosed", err)
 	}
-	if _, _, _, err := s.Get("k"); !errors.Is(err, ErrClosed) {
+	if _, _, _, _, err := s.Get("k", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after Close: %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {

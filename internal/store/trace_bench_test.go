@@ -9,9 +9,8 @@ import (
 
 // Traced-path benchmarks: the store hot paths with a live span per
 // operation, a live tracer at the default export sampling, and a sink.
-// scripts/bench.sh gates these at 0 allocs/op alongside their untraced
-// twins — the tracing tentpole's whole premise is that attribution is
-// free enough to leave on.
+// scripts/bench.sh gates these at 0 allocs/op alongside the same calls
+// with a nil span — attribution must be free enough to leave on.
 
 func benchTracer() *trace.Tracer {
 	return trace.New(trace.Config{
@@ -28,7 +27,7 @@ func BenchmarkTracedPut32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start()
-		if _, err := s.Put32Traced("bench", vals, sp); err != nil {
+		if _, err := Put(s, "bench", vals, sp); err != nil {
 			b.Fatal(err)
 		}
 		tr.Finish("put", sp)
@@ -47,7 +46,7 @@ func BenchmarkTracedGet32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start()
-		out, err := s.Get32IntoTraced(dst, "bench", sp)
+		out, _, err := GetInto(s, dst, "bench", sp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func BenchmarkTracedQueryAggregate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start()
-		if _, err := s.QueryAggregateTraced("bench", sp); err != nil {
+		if _, err := s.QueryAggregate("bench", sp); err != nil {
 			b.Fatal(err)
 		}
 		tr.Finish("query", sp)
@@ -82,7 +81,7 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	vals := genF32(t, "heat", 2*BlockValues, 42)
 
 	sp := tr.Start()
-	if _, err := s.Put32Traced("k", vals, sp); err != nil {
+	if _, err := Put(s, "k", vals, sp); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []trace.Stage{trace.StageEncode, trace.StageSegWrite} {
@@ -96,7 +95,7 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	tr.Finish("put", sp)
 
 	sp = tr.Start()
-	if _, err := s.Get32IntoTraced(nil, "k", sp); err != nil {
+	if _, _, err := GetInto[float32](s, nil, "k", sp); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []trace.Stage{trace.StageSegRead, trace.StageDecode} {
@@ -110,7 +109,7 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	tr.Finish("get", sp)
 
 	sp = tr.Start()
-	if _, err := s.QueryAggregateTraced("k", sp); err != nil {
+	if _, err := s.QueryAggregate("k", sp); err != nil {
 		t.Fatal(err)
 	}
 	if sp.StageDur(trace.StageQuery) <= 0 {
@@ -121,12 +120,12 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	}
 	tr.Finish("query", sp)
 
-	// The untraced entry points still work and are what the traced ones
-	// delegate from — spot-check one round trip.
+	// A nil span is the untraced form of the same calls — spot-check one
+	// round trip.
 	if _, err := s.Put32("k2", vals); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get32("k2"); err != nil {
+	if _, err := get32(s, "k2"); err != nil {
 		t.Fatal(err)
 	}
 }

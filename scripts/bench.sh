@@ -39,10 +39,10 @@ STORE_PKGS="./internal/store ./internal/server ./internal/trace ./internal/clust
 GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessAVR BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
 # Serving-path gate: the codec-pool handoff sits on every request, and
 # the store put/get hot paths are allocation-free by contract — pooled
-# scratch on the write side, caller-supplied destinations (Get*Into) on
+# scratch on the write side, caller-supplied destinations (GetInto) on
 # the read side. Compressed-domain aggregate/filter queries share the
 # bar (pooled scratch, targeted preads); downsample is exempt — its
-# result slices are the query's output. The Traced* twins hold the
+# result slices are the query's output. The Traced* benchmarks hold the
 # same paths to the same bar with a live span, tracer and JSONL sink
 # at the default export sampling — per-stage attribution must be free
 # enough to leave on (and BenchmarkSpanPool gates the span lifecycle
