@@ -92,7 +92,7 @@ func (g *Gate) Admit(w http.ResponseWriter, r *http.Request, sp *trace.Span) boo
 	}
 	g.shed.Add(1)
 	if errors.Is(err, ErrQueueFull) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter(g.queued.Load(), g.depth, g.timeout)))
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfter(g.queued.Load(), g.depth, g.timeout)))
 		http.Error(w, g.name+" queue full, retry later", http.StatusTooManyRequests)
 	} else {
 		http.Error(w, "timed out waiting for a "+g.name+" worker", http.StatusServiceUnavailable)
@@ -100,12 +100,12 @@ func (g *Gate) Admit(w http.ResponseWriter, r *http.Request, sp *trace.Span) boo
 	return false
 }
 
-// retryAfter sizes the 429 Retry-After hint from queue occupancy: the
+// RetryAfter sizes the 429 Retry-After hint from queue occupancy: the
 // hint scales linearly from 1s at an empty queue up to the queue
 // timeout (rounded up to whole seconds) at a full one, so a lightly
 // loaded service invites a fast retry while a saturated one pushes the
 // herd back the full wait it would have spent queueing anyway.
-func retryAfter(queued, depth int64, timeout time.Duration) int {
+func RetryAfter(queued, depth int64, timeout time.Duration) int {
 	maxSecs := max(int(math.Ceil(timeout.Seconds())), 1)
 	if depth <= 0 {
 		return maxSecs

@@ -9,38 +9,6 @@ import (
 	"time"
 )
 
-// TestRetryAfter pins the queue-derived hint avrd and the router send
-// with their own 429s.
-func TestRetryAfter(t *testing.T) {
-	cases := []struct {
-		name    string
-		queued  int64
-		depth   int64
-		timeout time.Duration
-		want    int
-	}{
-		{"empty queue invites fast retry", 0, 32, 2 * time.Second, 1},
-		{"half full rounds down to the floor", 16, 32, 2 * time.Second, 1},
-		{"full queue pushes the full timeout", 32, 32, 2 * time.Second, 2},
-		{"full queue long timeout", 32, 32, 10 * time.Second, 10},
-		{"half full rounds up", 16, 32, 3 * time.Second, 2},
-		{"quarter full", 8, 32, 4 * time.Second, 1},
-		{"deep queue long timeout", 96, 128, 8 * time.Second, 6},
-		{"queued above depth clamps to timeout", 100, 32, 2 * time.Second, 2},
-		{"negative queued clamps to floor", -5, 32, 2 * time.Second, 1},
-		{"zero depth falls back to timeout", 7, 0, 3 * time.Second, 3},
-		{"no queue at all: worst case", 0, 0, 2 * time.Second, 2},
-		{"sub-second timeout still hints 1s", 4, 8, 100 * time.Millisecond, 1},
-		{"fractional timeout rounds up", 32, 32, 1500 * time.Millisecond, 2},
-	}
-	for _, tc := range cases {
-		if got := retryAfter(tc.queued, tc.depth, tc.timeout); got != tc.want {
-			t.Errorf("%s: retryAfter(%d, %d, %v) = %d, want %d",
-				tc.name, tc.queued, tc.depth, tc.timeout, got, tc.want)
-		}
-	}
-}
-
 // TestAdmitRefusals: with the only slot held, an arrival that finds the
 // queue full gets 429 + Retry-After, one that waits out the timeout gets
 // 503, and both count as shed.

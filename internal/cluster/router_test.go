@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/server"
 	"avr/internal/store"
@@ -530,6 +531,28 @@ func TestProberEjectReadmit(t *testing.T) {
 	waitUp(true)
 	if obs.RouterNodeReadmits.Value() <= readmitsBefore {
 		t.Fatalf("readmit counter did not move")
+	}
+}
+
+// TestOwnRetryAfter pins the router's own queue-derived hint.
+func TestOwnRetryAfter(t *testing.T) {
+	cases := []struct {
+		queued, depth int64
+		timeout       time.Duration
+		want          int
+	}{
+		{0, 32, 2 * time.Second, 1},
+		{16, 32, 2 * time.Second, 1},
+		{32, 32, 2 * time.Second, 2},
+		{64, 32, 2 * time.Second, 2}, // clamped to depth then ceil
+		{32, 32, 10 * time.Second, 10},
+		{0, 0, 2 * time.Second, 2}, // no queue: worst case
+	}
+	for _, c := range cases {
+		if got := admit.RetryAfter(c.queued, c.depth, c.timeout); got != c.want {
+			t.Errorf("RetryAfter(%d,%d,%v) = %d, want %d",
+				c.queued, c.depth, c.timeout, got, c.want)
+		}
 	}
 }
 

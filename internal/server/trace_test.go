@@ -10,9 +10,39 @@ import (
 	"testing"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/trace"
 )
+
+// TestRetryAfterScalesWithQueue pins the queue-derived Retry-After
+// hint avrd sends with its own 429s.
+func TestRetryAfterScalesWithQueue(t *testing.T) {
+	cases := []struct {
+		name    string
+		queued  int64
+		depth   int64
+		timeout time.Duration
+		want    int
+	}{
+		{"empty queue invites fast retry", 0, 32, 2 * time.Second, 1},
+		{"full queue pushes the full timeout", 32, 32, 2 * time.Second, 2},
+		{"half full rounds up", 16, 32, 3 * time.Second, 2},
+		{"quarter full", 8, 32, 4 * time.Second, 1},
+		{"deep queue long timeout", 96, 128, 8 * time.Second, 6},
+		{"queued above depth clamps to timeout", 100, 32, 2 * time.Second, 2},
+		{"negative queued clamps to floor", -5, 32, 2 * time.Second, 1},
+		{"zero depth falls back to timeout", 7, 0, 3 * time.Second, 3},
+		{"sub-second timeout still hints 1s", 4, 8, 100 * time.Millisecond, 1},
+		{"fractional timeout rounds up", 32, 32, 1500 * time.Millisecond, 2},
+	}
+	for _, tc := range cases {
+		if got := admit.RetryAfter(tc.queued, tc.depth, tc.timeout); got != tc.want {
+			t.Errorf("%s: RetryAfter(%d, %d, %v) = %d, want %d",
+				tc.name, tc.queued, tc.depth, tc.timeout, got, tc.want)
+		}
+	}
+}
 
 // TestStatsShape pins the /v1/stats JSON document: every key the
 // dashboard (cmd/avrtop) and EXPERIMENTS.md workflows consume must be
